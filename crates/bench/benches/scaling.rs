@@ -1,6 +1,5 @@
 //! Aggregation / join / distinct scaling vs. the parallelism knob, plus
-//! the **skewed-input sweep** pitting morsel-driven work stealing against
-//! static partition-at-a-time dispatch.
+//! a recorded **skewed-input sweep** of serial vs parallelism 4.
 //!
 //! Before the two-phase refactor only the Scan→Filter→Project prefix ran
 //! partition-parallel; GROUP BY, JOIN, and DISTINCT collapsed to one
@@ -9,28 +8,17 @@
 //! heavy operators show up as flat (non-scaling) curves.
 //!
 //! The skewed sweep loads one partition with ~90% of the rows (plus empty
-//! partitions and 1-row tails) — the layout static dispatch handles worst,
-//! since no partition assignment can split the big partition across
-//! threads. Morsel execution breaks it into stealable 4096-row morsels.
-//! Besides the streaming filter/project pipeline and the fused aggregate,
-//! the sweep covers the morselized long tail: a LEFT join probe (per-morsel
-//! probes with regrouped unmatched tails), an ORDER BY (per-morsel sorted
-//! runs, k-way merge), and a window (per-morsel eval, partition-parallel
-//! compute). All lanes execute on the shared persistent worker pool, whose
-//! target defaults to the host's core count — so `parallelism 4` on a
-//! single-core host is clamped to serial static execution and the morsel
-//! lane is the *same code path* as the static lane (parity by
-//! construction), while multi-core hosts get real stealing. Results (the
-//! morsel-vs-static speedup plus the morsel lane's scheduler counters) are
-//! recorded to `BENCH_<date>_scaling.json` at the repo root (override with
-//! `SCALING_BENCH_OUT`). Gates: on hosts with >= 4 CPUs the
-//! streaming-pipeline case must show >= 1.5x morsel-vs-static speedup at
-//! parallelism 4 and at least one of the long-tail trio {left_join, sort,
-//! window} must clear the same bar; on smaller hosts every case must stay
-//! at parity (>= 0.95x, the two lanes being identical code there). On
-//! every host the left_join case gates static p4 <= 1.2x serial — the
-//! regression this bench once caught (4.5x, a per-cell String allocation
-//! in join assembly) stays dead. Run with:
+//! partitions and 1-row tails) — the partition-parallel executor's worst
+//! case, since no assignment can split the big partition across threads.
+//! It times a streaming filter/project, a two-phase aggregate, a LEFT
+//! join, an ORDER BY, and a window at parallelism 1 and 4 on the shared
+//! persistent worker pool (target = host cores), asserts every p4 result
+//! bit-identical to serial, and records both times plus the p4 run's
+//! scheduler counters to `BENCH_<date>_scaling.json` at the repo root
+//! (override with `SCALING_BENCH_OUT`). The rows are recorded, not gated,
+//! except one: on every host the left_join case gates p4 <= 1.2x serial —
+//! the regression this bench once caught (4.5x, a per-cell String
+//! allocation in join assembly) stays dead. Run with:
 //!
 //! ```text
 //! cargo bench -p sigma-bench --bench scaling
@@ -121,38 +109,29 @@ fn bench_scaling(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------
-// skewed-input sweep: morsel work stealing vs static dispatch
+// skewed-input sweep: serial vs parallelism 4
 // ---------------------------------------------------------------------
 
 const SKEW_ROWS: usize = 400_000;
 const SKEW_ITERS: usize = 5;
 
-/// The gated case: a fully streaming Scan→Filter→Project pipeline, where
-/// every morsel is independent end-to-end (no partition-granular fold),
-/// so stealing should reclaim nearly all the imbalance.
+/// A fully streaming Scan→Filter→Project chain.
 const SKEW_FILTER_SQL: &str = "SELECT g, v * 2.0 + 1.0 AS x FROM skew WHERE v * 3.0 + k < 220.0";
-/// Recorded (not gated): fused partial aggregation parallelizes its
-/// per-morsel expression evaluation, but each partition's states still
-/// fold sequentially to keep the FP update order pinned, so its curve is
-/// informative rather than a hard bar.
+/// Two-phase aggregation: per-partition partials merged in partition order.
 const SKEW_AGG_SQL: &str = "SELECT g, COUNT(*) AS n, SUM(v) AS s, AVG(v) AS a \
                             FROM skew GROUP BY g";
-/// Long-tail trio (group-gated: at least one must clear the 1.5x bar on
-/// multi-core hosts). LEFT join: per-morsel probes of the shared build
-/// table, unmatched tails regrouped per (partition, morsel) — 20% of the
+/// LEFT join: per-partition probes of the shared build table — 20% of the
 /// fact keys dangle past the dimension's 0..800 range.
 const SKEW_LEFT_SQL: &str = "SELECT skew.g, skew.v, sd.lab \
                              FROM skew LEFT JOIN sd ON skew.k = sd.k";
-/// Sort: per-morsel sorted runs k-way merged by (keys, row id).
 const SKEW_SORT_SQL: &str = "SELECT g, k, v FROM skew ORDER BY v DESC, k";
-/// Window: per-morsel expression eval + partition grouping, then
-/// partition-parallel sort/compute (64 groups).
+/// Window over 64 partition-key groups.
 const SKEW_WINDOW_SQL: &str = "SELECT g, SUM(v) OVER (PARTITION BY g ORDER BY v) AS w FROM skew";
 
 /// ~90% of rows in one partition, two empty partitions, eight 1-row
-/// tails, and the rest split uniformly — the static scheduler's worst
-/// case (its makespan is bound by the big partition no matter the
-/// assignment).
+/// tails, and the rest split uniformly — the partition-parallel
+/// executor's worst case (its makespan is bound by the big partition no
+/// matter the assignment).
 fn skewed_warehouse() -> Warehouse {
     let wh = Warehouse::default();
     let schema = Arc::new(Schema::new(vec![
@@ -237,8 +216,8 @@ fn median_ms(wh: &Warehouse, sql: &str) -> (f64, Batch) {
 }
 
 /// Pull one `key=value` counter off the `scheduler:` line that
-/// `explain_analyze` renders (satellite of the persistent-pool work: the
-/// bench records how much stealing the morsel lane actually did).
+/// `explain_analyze` renders (the bench records how much stealing the p4
+/// run actually did).
 fn sched_counter(analyzed: &str, key: &str) -> usize {
     analyzed
         .lines()
@@ -257,41 +236,32 @@ fn today() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-fn skewed_morsel_sweep() {
+fn skewed_sweep() {
     let wh = skewed_warehouse();
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut cells = String::new();
     println!("\nskewed sweep ({SKEW_ROWS} rows, 90% in one partition, median of {SKEW_ITERS} runs, {cpus} cpus)");
     println!(
-        "{:<16} {:<8} {:>12} {:>12} {:>9}",
-        "case", "p", "static_ms", "morsel_ms", "speedup"
+        "{:<16} {:>12} {:>12} {:>9}",
+        "case", "p1_ms", "p4_ms", "speedup"
     );
-    // Gate kinds: "each" must individually clear 1.5x on >=4-cpu hosts;
-    // "group" cases are gated collectively (at least one of the long-tail
-    // trio must clear the bar); "none" is recorded for context only.
-    let mut group_speedups: Vec<(&str, f64)> = Vec::new();
-    for (case, sql, gate) in [
-        ("filter_project", SKEW_FILTER_SQL, "each"),
-        ("aggregate", SKEW_AGG_SQL, "none"),
-        ("left_join", SKEW_LEFT_SQL, "group"),
-        ("sort", SKEW_SORT_SQL, "group"),
-        ("window", SKEW_WINDOW_SQL, "group"),
+    for (case, sql) in [
+        ("filter_project", SKEW_FILTER_SQL),
+        ("aggregate", SKEW_AGG_SQL),
+        ("left_join", SKEW_LEFT_SQL),
+        ("sort", SKEW_SORT_SQL),
+        ("window", SKEW_WINDOW_SQL),
     ] {
-        // Serial static run = the oracle every mode must reproduce
-        // bit-for-bit (and the p1 context row in the record).
+        // The serial run is the oracle the p4 run must reproduce
+        // bit-for-bit.
         wh.set_parallelism(1);
-        wh.set_morsel_rows(None);
         let (serial_ms, oracle) = median_ms(&wh, sql);
-
         wh.set_parallelism(4);
-        let (static_ms, static_batch) = median_ms(&wh, sql);
-        wh.set_morsel_rows(Some(sigma_cdw::exec::DEFAULT_MORSEL_ROWS));
-        let (morsel_ms, morsel_batch) = median_ms(&wh, sql);
-        assert_bit_identical(&oracle, &static_batch, case);
-        assert_bit_identical(&oracle, &morsel_batch, case);
-        // One instrumented run of the morsel lane for the record: how many
-        // tasks the pool dispatched and how many were stolen vs taken from
-        // the worker's own queue.
+        let (p4_ms, p4_batch) = median_ms(&wh, sql);
+        assert_bit_identical(&oracle, &p4_batch, case);
+        // One instrumented p4 run for the record: how many tasks the pool
+        // dispatched and how many were stolen vs taken from the worker's
+        // own queue.
         let analyzed = wh.explain_analyze(sql).expect("explain analyze");
         let (tasks, local, steals) = (
             sched_counter(&analyzed, "tasks="),
@@ -299,79 +269,49 @@ fn skewed_morsel_sweep() {
             sched_counter(&analyzed, "steals="),
         );
 
-        let speedup = static_ms / morsel_ms;
+        let speedup = serial_ms / p4_ms;
         println!(
-            "{case:<16} {:<8} {static_ms:>12.2} {morsel_ms:>12.2} {speedup:>8.2}x  \
-             (tasks={tasks} local={local} steals={steals})",
-            4
+            "{case:<16} {serial_ms:>12.2} {p4_ms:>12.2} {speedup:>8.2}x  \
+             (tasks={tasks} local={local} steals={steals})"
         );
-        if gate == "each" && cpus >= 4 {
-            assert!(
-                speedup >= 1.5,
-                "{case}: morsel stealing {morsel_ms:.2}ms vs static {static_ms:.2}ms \
-                 (speedup {speedup:.2}x < 1.5x) on a {cpus}-cpu host"
-            );
-        }
-        if cpus < 4 {
-            // The pool clamps both lanes to the identical serial path here,
-            // so anything past timer noise is a gating bug.
-            assert!(
-                speedup >= 0.95,
-                "{case}: morsel lane {morsel_ms:.2}ms vs static {static_ms:.2}ms on a \
-                 {cpus}-cpu host — the pool should have clamped both to the same \
-                 serial path (speedup {speedup:.2}x < 0.95x)"
-            );
-        }
         if case == "left_join" {
-            // The fixed regression: parallel static join assembly used to
-            // cost 4.5x serial from per-cell String allocation.
-            let vs_serial = static_ms / serial_ms;
+            // The fixed regression: parallel join assembly used to cost
+            // 4.5x serial from per-cell String allocation.
+            let vs_serial = p4_ms / serial_ms;
             assert!(
                 vs_serial <= 1.2,
-                "left_join: static p4 {static_ms:.2}ms is {vs_serial:.2}x serial \
-                 {serial_ms:.2}ms (> 1.2x) — the parallel-slower-than-serial join \
-                 regression is back"
+                "left_join: p4 {p4_ms:.2}ms is {vs_serial:.2}x serial {serial_ms:.2}ms \
+                 (> 1.2x) — the parallel-slower-than-serial join regression is back"
             );
-        }
-        if gate == "group" {
-            group_speedups.push((case, speedup));
         }
         if !cells.is_empty() {
             cells.push_str(",\n");
         }
         cells.push_str(&format!(
             "    {{ \"case\": \"skew_{case}\", \"serial_ms\": {serial_ms:.3}, \
-             \"static_p4_ms\": {static_ms:.3}, \"morsel_p4_ms\": {morsel_ms:.3}, \
-             \"morsel_vs_static_speedup\": {speedup:.3}, \"gate\": \"{gate}\", \
-             \"sched_tasks\": {tasks}, \"sched_local\": {local}, \
-             \"sched_steals\": {steals} }}"
+             \"p4_ms\": {p4_ms:.3}, \"p4_vs_serial_speedup\": {speedup:.3}, \
+             \"gate\": \"{}\", \"sched_tasks\": {tasks}, \"sched_local\": {local}, \
+             \"sched_steals\": {steals} }}",
+            if case == "left_join" {
+                "p4<=1.2x serial"
+            } else {
+                "none"
+            }
         ));
-        wh.set_morsel_rows(None);
     }
-    if cpus >= 4 {
-        assert!(
-            group_speedups.iter().any(|&(_, s)| s >= 1.5),
-            "long-tail gate: none of {group_speedups:?} reached a 1.5x \
-             morsel-vs-static speedup at p4 on a {cpus}-cpu host"
-        );
-    }
+    wh.set_parallelism(1);
 
     let date = today();
     let json = format!(
-        "{{\n  \"recorded\": \"{date}\",\n  \"note\": \"Skewed-input scaling: morsel-driven \
-         work stealing vs static partition-at-a-time dispatch over {SKEW_ROWS} rows with ~90% \
-         of them in a single partition (plus empty partitions and 1-row tails), median of \
-         {SKEW_ITERS} runs. Every mode is asserted bit-identical to the serial static oracle. \
-         Both lanes run on the shared persistent worker pool (target = host cores), so \
-         below 4 cpus the pool clamps parallelism and the lanes are the identical serial \
-         code path (parity gate >= 0.95x); on >= 4 cpus the streaming filter_project case \
-         must show >= 1.5x morsel-vs-static speedup at parallelism 4 (gate=each) and at \
-         least one of the long-tail trio left_join/sort/window must clear the same bar \
-         (gate=group). On every host left_join gates static p4 <= 1.2x serial (the old \
-         per-cell-allocation join regression). sched_* fields are the morsel lane's \
-         scheduler counters from one instrumented run. Regenerate with: \
-         cargo bench -p sigma-bench --bench scaling.\",\n  \"cpus\": {cpus},\n  \
-         \"iters\": {SKEW_ITERS},\n  \"cells\": [\n{cells}\n  ]\n}}\n"
+        "{{\n  \"recorded\": \"{date}\",\n  \"note\": \"Skewed-input scaling: serial vs \
+         parallelism 4 over {SKEW_ROWS} rows with ~90% of them in a single partition (plus \
+         empty partitions and 1-row tails), median of {SKEW_ITERS} runs, on the shared \
+         persistent worker pool (target = host cores, so below 4 cpus the pool clamps p4). \
+         Every p4 result is asserted bit-identical to serial. Rows are recorded, not gated, \
+         except left_join: p4 <= 1.2x serial on every host (the old per-cell-allocation join \
+         regression). sched_* fields are the p4 run's scheduler counters from one \
+         instrumented run. Regenerate with: cargo bench -p sigma-bench --bench scaling.\",\n  \
+         \"cpus\": {cpus},\n  \"iters\": {SKEW_ITERS},\n  \"cells\": [\n{cells}\n  ]\n}}\n"
     );
     let out = std::env::var("SCALING_BENCH_OUT").unwrap_or_else(|_| {
         format!(
@@ -387,5 +327,5 @@ criterion_group!(benches, bench_scaling);
 
 fn main() {
     benches();
-    skewed_morsel_sweep();
+    skewed_sweep();
 }

@@ -3,35 +3,30 @@
 //! Operators retain the storage partition structure wherever the plan
 //! allows it, so work spreads across the persistent process-wide worker
 //! pool (the `parallelism` knob the scalability experiment E8 sweeps,
-//! clamped to the pool's execution budget — see [`scheduler`]).
-//! Work distribution is morsel-driven by default: Filter/Project chains
-//! and the partial half of two-phase aggregation stream fixed-size
-//! morsels through fused per-morsel pipelines scheduled by an LPT-seeded
-//! work-stealing queue (see [`pipeline`] and [`scheduler`]); setting
-//! `morsel_rows = None` falls back to the static partition-at-a-time
-//! split, which the equivalence suites pin the morsel path against
-//! byte-for-byte:
+//! clamped to the pool's execution budget — see [`scheduler`]). The unit
+//! of parallel work is the storage partition: every parallel stage is one
+//! `par_map` over partitions (or spill buckets), seeded longest-first and
+//! balanced by work stealing, with outputs returned in input order — so
+//! the result is byte-identical at any parallelism, and at one worker
+//! the same code runs inline on the caller:
 //!
-//! * Scan → Filter → Project chains map over partition morsels.
+//! * Scan → Filter → Project chains map over partitions; filters refine
+//!   a selection vector instead of materializing.
 //! * `UnionAll` concatenates its inputs' partitions without collapsing.
 //! * Aggregation and DISTINCT run two-phase when the optimizer placed a
 //!   `Partial`/`Final` split (see [`crate::plan::AggMode`]): per-partition
 //!   partial states build in parallel and merge associatively, in
 //!   partition-index order, on the coordinating thread — so results are
 //!   bit-identical at any parallelism.
-//! * Hash joins build the right side once, share it (`Arc`) across probe
-//!   units running in parallel — whole partitions on the static path,
-//!   per-partition morsels (every join kind, LEFT/FULL tails regrouped
-//!   per partition) on the morsel path — and emit one output part per
-//!   probe partition either way.
-//! * Sort generates sorted runs per morsel in parallel and k-way merges
-//!   them by `(keys, row id)`; windows evaluate their expressions per
-//!   morsel and sort/compute partitions in parallel, scattering values
-//!   back to disjoint rows.
+//! * Hash joins build the right side once, share it (`Arc`) across the
+//!   probe partitions running in parallel, and emit one output part per
+//!   probe partition.
+//! * Sort and window collapse their input and run on the coordinating
+//!   thread.
 //!
 //! Every operator records an [`OpStats`] entry (rows in/out, partitions,
-//! elapsed, morsels) so `EXPLAIN`-style output and the bench harness can
-//! attribute time.
+//! elapsed, expression time) so `EXPLAIN`-style output and the bench
+//! harness can attribute time.
 //!
 //! ## Memory budget & spilling
 //!
@@ -59,13 +54,9 @@
 //! Because every spilled variant performs the *same floating-point
 //! operations in the same order* as its in-memory counterpart and only
 //! reorders bookkeeping, results are **bit-identical** at any budget and
-//! any parallelism (pinned by `tests/spill_oracle.rs`). Under morsel
-//! mode the budget compounds with streaming: spilling aggregation
-//! consumes morsels directly ([`pipeline::morsel_spilled_aggregate`]),
-//! sort runs spill from parallel workers, and the Grace join's key
-//! evaluation and bucket passes run on the work-stealing scheduler —
-//! same group states, permutations, and pairs, spilled per pipeline
-//! instead of per materialized operator.
+//! any parallelism (pinned by `tests/spill_oracle.rs`). Aggregation
+//! buckets and Grace join bucket passes run through `par_map` like
+//! partitions do.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -82,10 +73,7 @@ use crate::plan::{AggCall, AggFunc, AggMode, Plan};
 use crate::storage::{SpillHandle, SpillReader, SpillWriter};
 use crate::window::compute_window;
 
-pub(crate) mod pipeline;
 pub mod scheduler;
-
-pub use pipeline::DEFAULT_MORSEL_ROWS;
 
 /// One partition flowing between operators: a batch plus an optional
 /// **selection vector** — the surviving row indices, ascending. Filters
@@ -133,8 +121,8 @@ impl Part {
 }
 
 /// Accumulate the wall-clock of one expression evaluation into an
-/// operator's cumulative `eval_ns` counter (atomic: partition/morsel
-/// workers record concurrently). Shared with the window executor.
+/// operator's cumulative `eval_ns` counter (atomic: partition workers
+/// record concurrently). Shared with the window executor.
 pub(crate) fn timed<T>(ns: &AtomicU64, f: impl FnOnce() -> T) -> T {
     let started = Instant::now();
     let out = f();
@@ -149,41 +137,11 @@ pub struct ExecCtx<'a> {
     pub eval: EvalCtx,
     /// Worker threads for partition-parallel stages (1 = serial).
     pub parallelism: usize,
-    /// Morsel height for pipelined stages; `None` disables morsel-driven
-    /// execution and runs the static partition-at-a-time split (the
-    /// oracle baseline the morsel path is pinned against).
-    pub morsel_rows: Option<usize>,
-    /// Derive each pipeline's morsel height from its input shape
-    /// ([`pipeline::adaptive_morsel_rows`]) instead of the fixed
-    /// `morsel_rows` value. Ignored when `morsel_rows` is `None`; the
-    /// equivalence oracles sweep explicit fixed sizes with this off.
-    pub adaptive_morsels: bool,
     /// Per-operator memory budget and spill accounting.
     pub memory: ExecMemoryTracker,
     /// Per-query scheduler counters (tasks, own-queue hits, steals,
     /// unparks) recorded by every `run_stealing` call this query makes.
     pub sched: scheduler::SchedCounters,
-}
-
-impl ExecCtx<'_> {
-    /// Worker slots this query can actually occupy: the configured
-    /// per-query `parallelism` clamped to the process-wide pool target.
-    pub fn effective_parallelism(&self) -> usize {
-        scheduler::effective_workers(self.parallelism)
-    }
-
-    /// Morsel height for pipelined stages, or `None` when execution is
-    /// effectively serial. With one worker slot the morsel lane would run
-    /// the exact same code as the static split plus queue overhead, so
-    /// every morsel entry point gates through this instead of reading
-    /// `morsel_rows` directly.
-    pub fn morsel_exec(&self) -> Option<usize> {
-        if self.effective_parallelism() > 1 {
-            self.morsel_rows
-        } else {
-            None
-        }
-    }
 }
 
 /// Accounts operator state against a configurable byte budget and records
@@ -285,9 +243,6 @@ pub struct OpStats {
     /// exceed `elapsed` under parallelism. This is the counter the
     /// vectorized-expression win shows up in per query.
     pub eval_ns: u64,
-    /// Morsels this operator processed as part of a fused pipeline
-    /// (0 for operators executed outside the morsel path).
-    pub morsels: usize,
 }
 
 impl OpStats {
@@ -300,7 +255,6 @@ impl OpStats {
             partitions: 0,
             elapsed: Duration::ZERO,
             eval_ns: 0,
-            morsels: 0,
         }
     }
 }
@@ -365,9 +319,6 @@ impl ExecStats {
                 op.elapsed.as_secs_f64() * 1e3,
                 op.eval_ns,
             ));
-            if op.morsels > 0 {
-                out.push_str(&format!(" morsels={}", op.morsels));
-            }
             out.push('\n');
         }
         let budget = match self.memory_budget {
@@ -460,14 +411,12 @@ fn execute_parts(
         .push(OpStats::started(op_label(plan), depth));
     let started = Instant::now();
     let eval_ns = AtomicU64::new(0);
-    let morsels = AtomicUsize::new(0);
-    let parts = execute_node(plan, ctx, stats, depth, &eval_ns, &morsels)?;
+    let parts = execute_node(plan, ctx, stats, depth, &eval_ns)?;
     let op = &mut stats.operators[slot];
     op.elapsed = started.elapsed();
     op.rows_out = parts.iter().map(Part::rows).sum();
     op.partitions = parts.len();
     op.eval_ns = eval_ns.into_inner();
-    op.morsels = morsels.into_inner();
     Ok(parts)
 }
 
@@ -511,7 +460,6 @@ fn execute_node(
     stats: &mut ExecStats,
     depth: usize,
     eval_ns: &AtomicU64,
-    morsels: &AtomicUsize,
 ) -> Result<Vec<Part>, CdwError> {
     match plan {
         Plan::Scan { table, .. } => {
@@ -529,12 +477,6 @@ fn execute_node(
         }
         Plan::Values { batch } => Ok(vec![Part::new(batch.clone())]),
         Plan::Filter { input, predicate } => {
-            // Morsel mode fuses the whole Filter/Project chain below this
-            // node into one pipeline (the chain's inner nodes never reach
-            // execute_node).
-            if ctx.morsel_exec().is_some() {
-                return pipeline::execute_chain(plan, ctx, stats, depth, eval_ns, morsels);
-            }
             let parts = execute_parts(input, ctx, stats, depth + 1)?;
             // Compile once per operator; partitions share the schema.
             let compiled = CompiledExpr::compile(predicate, &input_types(input))?;
@@ -559,9 +501,6 @@ fn execute_node(
             exprs,
             schema,
         } => {
-            if ctx.morsel_exec().is_some() {
-                return pipeline::execute_chain(plan, ctx, stats, depth, eval_ns, morsels);
-            }
             let parts = execute_parts(input, ctx, stats, depth + 1)?;
             let types = input_types(input);
             let compiled: Vec<CompiledExpr> = exprs
@@ -612,36 +551,6 @@ fn execute_node(
                         .push(OpStats::started(op_label(input), depth + 1));
                     let pstarted = Instant::now();
                     let peval_ns = AtomicU64::new(0);
-                    // Unbudgeted morsel mode: fuse the Partial with the
-                    // streaming chain below it — group/argument expressions
-                    // evaluate per morsel, each partition folds its morsels
-                    // sequentially (identical FP sequence to one
-                    // whole-partition pass), partials merge in partition
-                    // order as always. Budgeted queries fall through to the
-                    // partition-granular path so the spill estimate and the
-                    // out-of-core arithmetic stay byte-identical.
-                    if ctx.morsel_exec().is_some() && ctx.memory.budget().is_none() {
-                        let cagg = compile_agg_exprs(pgroups, paggs, &input_types(pinput))?;
-                        let fused = pipeline::execute_fused_partial(
-                            pinput,
-                            &cagg,
-                            paggs,
-                            ctx,
-                            stats,
-                            depth + 2,
-                            &peval_ns,
-                        )?;
-                        {
-                            let op = &mut stats.operators[pslot];
-                            op.elapsed = pstarted.elapsed();
-                            op.rows_out = fused.tables.iter().map(|t| t.entries.len()).sum();
-                            op.partitions = fused.partitions;
-                            op.eval_ns = peval_ns.into_inner();
-                            op.morsels = fused.morsels;
-                        }
-                        let merged = merge_group_tables(fused.tables, pgroups.is_empty(), paggs);
-                        return Ok(vec![Part::new(finish_groups(merged, schema)?)]);
-                    }
                     let parts = execute_parts(pinput, ctx, stats, depth + 2)?;
                     let cagg = compile_agg_exprs(pgroups, paggs, &input_types(pinput))?;
                     // State estimate: the partial tables hold keys and
@@ -649,24 +558,13 @@ fn execute_node(
                     // bytes is the deterministic upper-bound proxy.
                     let est: usize = parts.iter().map(Part::est_bytes).sum();
                     if !pgroups.is_empty() && ctx.memory.should_spill(est) {
-                        // Morsel mode spills per pipeline: group/argument
-                        // expressions evaluate and route to buckets per
-                        // morsel in parallel (bit-identical group states —
-                        // see `morsel_spilled_aggregate`).
-                        let pmorsels = AtomicUsize::new(0);
-                        let (batch, partial_rows) = if ctx.morsel_exec().is_some() {
-                            pipeline::morsel_spilled_aggregate(
-                                &parts, &cagg, paggs, schema, ctx, est, &peval_ns, &pmorsels,
-                            )?
-                        } else {
-                            spilled_aggregate(&parts, &cagg, paggs, schema, ctx, est, &peval_ns)?
-                        };
+                        let (batch, partial_rows) =
+                            spilled_aggregate(&parts, &cagg, paggs, schema, ctx, est, &peval_ns)?;
                         let op = &mut stats.operators[pslot];
                         op.elapsed = pstarted.elapsed();
                         op.rows_out = partial_rows;
                         op.partitions = parts.len();
                         op.eval_ns = peval_ns.into_inner();
-                        op.morsels = pmorsels.into_inner();
                         return Ok(vec![Part::new(batch)]);
                     }
                     let cagg = &cagg;
@@ -695,31 +593,16 @@ fn execute_node(
             let part = Part::new(concat_parts(parts, input.schema())?);
             if !groups.is_empty() && ctx.memory.should_spill(est) {
                 // One logical partition preserves Single-mode arithmetic
-                // (continuous per-group accumulation, no partial merge);
-                // morsel mode splits it into morsels whose per-bucket
-                // records fold back in morsel order — the same sequence.
-                let (batch, _) = if ctx.morsel_exec().is_some() {
-                    pipeline::morsel_spilled_aggregate(
-                        std::slice::from_ref(&part),
-                        &cagg,
-                        aggs,
-                        schema,
-                        ctx,
-                        est,
-                        eval_ns,
-                        morsels,
-                    )?
-                } else {
-                    spilled_aggregate(
-                        std::slice::from_ref(&part),
-                        &cagg,
-                        aggs,
-                        schema,
-                        ctx,
-                        est,
-                        eval_ns,
-                    )?
-                };
+                // (continuous per-group accumulation, no partial merge).
+                let (batch, _) = spilled_aggregate(
+                    std::slice::from_ref(&part),
+                    &cagg,
+                    aggs,
+                    schema,
+                    ctx,
+                    est,
+                    eval_ns,
+                )?;
                 return Ok(vec![Part::new(batch)]);
             }
             let table = accumulate_groups(&part, &cagg, aggs, &ctx.eval, eval_ns)?;
@@ -734,17 +617,7 @@ fn execute_node(
             let mut cols: Vec<Column> = batch.columns().to_vec();
             for (i, call) in calls.iter().enumerate() {
                 let out_type = schema.field(batch.num_columns() + i).dtype;
-                // Morsel mode parallelizes both hot phases (expression
-                // eval per morsel, sort+compute per partition) and is
-                // pinned bit-identical to the static path.
-                let col = if ctx.morsel_exec().is_some() && batch.num_rows() > 0 {
-                    crate::window::compute_window_morsel(
-                        call, &batch, out_type, ctx, eval_ns, morsels,
-                    )?
-                } else {
-                    compute_window(call, &batch, out_type, &ctx.eval, eval_ns)?
-                };
-                cols.push(col);
+                cols.push(compute_window(call, &batch, out_type, &ctx.eval, eval_ns)?);
             }
             Ok(vec![Part::new(Batch::new(schema.clone(), cols)?)])
         }
@@ -809,52 +682,28 @@ fn execute_node(
                     ctx,
                     est,
                     eval_ns,
-                    morsels,
                 )?
             } else {
                 let build = Arc::new(build_join_table(right_batch.num_rows(), &rcols, keyed));
                 let (lkeys, cresidual) = (&lkeys, cresidual.as_ref());
-                // All probe kinds morselize: matched pairs come back in
-                // left-row order, so per-partition morsel outputs
-                // re-concatenate to the whole-partition result exactly.
-                // LEFT/FULL keep each morsel's null-extended unmatched
-                // tail separate and regroup it after all of the
-                // partition's matches (see `probe_morsel_split`), and
-                // FULL's matched-right sets union across morsels before
-                // the unmatched-right sweep below.
-                if ctx.morsel_exec().is_some() {
-                    pipeline::morsel_probe(
-                        &lparts,
-                        &right_batch,
-                        &build,
-                        *kind,
-                        lkeys,
-                        cresidual,
-                        schema,
-                        ctx,
-                        eval_ns,
-                        morsels,
-                    )?
-                } else {
-                    par_map(
-                        ctx,
-                        lparts,
-                        |lb| lb.byte_size(),
-                        |lb| {
-                            probe_partition(
-                                &lb,
-                                &right_batch,
-                                &build,
-                                *kind,
-                                lkeys,
-                                cresidual,
-                                schema,
-                                &ctx.eval,
-                                eval_ns,
-                            )
-                        },
-                    )?
-                }
+                par_map(
+                    ctx,
+                    lparts,
+                    |lb| lb.byte_size(),
+                    |lb| {
+                        probe_partition(
+                            &lb,
+                            &right_batch,
+                            &build,
+                            *kind,
+                            lkeys,
+                            cresidual,
+                            schema,
+                            &ctx.eval,
+                            eval_ns,
+                        )
+                    },
+                )?
             };
             let mut parts = Vec::with_capacity(probes.len() + 1);
             let mut matched_right = if *kind == JoinKind::Full {
@@ -900,15 +749,6 @@ fn execute_node(
                     nulls_last: k.nulls_last.unwrap_or(k.descending),
                 })
                 .collect();
-            // Morsel mode parallelizes run generation (key eval + local
-            // sorts) and k-way merges by (keys, row id) — the unique total
-            // order a stable whole-input sort produces, so the permutation
-            // is identical to the static path below.
-            if ctx.morsel_exec().is_some() && batch.num_rows() > 1 {
-                return Ok(vec![Part::new(pipeline::morsel_sort(
-                    &batch, &compiled, &sort_keys, ctx, eval_ns, morsels,
-                )?)]);
-            }
             let key_cols: Vec<Column> = timed(eval_ns, || {
                 compiled
                     .iter()
@@ -1493,18 +1333,7 @@ fn eval_group_args(
     compiled: &CompiledAggExprs,
     ctx: &EvalCtx,
 ) -> Result<(Vec<Column>, Vec<Option<Column>>), CdwError> {
-    eval_group_arg_cols(&part.batch, part.sel(), compiled, ctx)
-}
-
-/// [`eval_group_args`] over an explicit batch/selection — the unit the
-/// morsel pipeline evaluates (one morsel's surviving rows).
-#[allow(clippy::type_complexity)]
-fn eval_group_arg_cols(
-    batch: &Batch,
-    sel: Option<&[usize]>,
-    compiled: &CompiledAggExprs,
-    ctx: &EvalCtx,
-) -> Result<(Vec<Column>, Vec<Option<Column>>), CdwError> {
+    let (batch, sel) = (&part.batch, part.sel());
     let group_cols: Vec<Column> = compiled
         .groups
         .iter()
@@ -1535,36 +1364,6 @@ fn accumulate_pre(
 ) -> (GroupTable, Vec<usize>) {
     let mut table = GroupTable::new();
     let mut firsts: Vec<usize> = Vec::new();
-    accumulate_into(
-        &mut table,
-        &mut firsts,
-        0,
-        group_cols,
-        arg_cols,
-        aggs,
-        rows,
-        global,
-    );
-    (table, firsts)
-}
-
-/// Fold one chunk of pre-evaluated rows into an existing table. The
-/// morsel pipeline calls this once per morsel of a partition, in morsel
-/// order, with `row_base` tracking the partition-relative row offset so
-/// `firsts` stays in partition coordinates. Because the per-row update
-/// sequence is byte-identical to one whole-partition call, the morsel
-/// path's aggregation arithmetic matches the materializing path's.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_into(
-    table: &mut GroupTable,
-    firsts: &mut Vec<usize>,
-    row_base: usize,
-    group_cols: &[Column],
-    arg_cols: &[Option<Column>],
-    aggs: &[AggCall],
-    rows: usize,
-    global: bool,
-) {
     let new_states = || -> Vec<AggState> {
         aggs.iter()
             .zip(arg_cols)
@@ -1573,15 +1372,13 @@ fn accumulate_into(
     };
 
     if global {
-        if table.entries.is_empty() {
-            table.index.insert(Vec::new(), 0);
-            table.entries.push(GroupEntry {
-                key: Vec::new(),
-                group_vals: Vec::new(),
-                states: new_states(),
-            });
-            firsts.push(0);
-        }
+        table.index.insert(Vec::new(), 0);
+        table.entries.push(GroupEntry {
+            key: Vec::new(),
+            group_vals: Vec::new(),
+            states: new_states(),
+        });
+        firsts.push(0);
         for row in 0..rows {
             for (slot, state) in table.entries[0].states.iter_mut().enumerate() {
                 match &arg_cols[slot] {
@@ -1606,7 +1403,7 @@ fn accumulate_into(
                         group_vals: group_cols.iter().map(|c| c.value(row)).collect(),
                         states: new_states(),
                     });
-                    firsts.push(row_base + row);
+                    firsts.push(row);
                     i
                 }
             };
@@ -1618,6 +1415,7 @@ fn accumulate_into(
             }
         }
     }
+    (table, firsts)
 }
 
 /// Merge per-partition group tables in partition-index order. `global`
@@ -1968,10 +1766,8 @@ fn spilled_sort(
     Ok(batch.take(&merged))
 }
 
-/// K-way merge spilled sorted runs into the output permutation. Shared by
-/// the static spilled sort and the morselized one: identical run order
-/// and the identical `(keys, row id)` comparator produce the identical
-/// permutation, however the runs were generated.
+/// K-way merge spilled sorted runs into the output permutation by the
+/// `(keys, row id)` comparator.
 fn merge_spilled_runs(
     handles: &[SpillHandle],
     kw: usize,
@@ -2042,12 +1838,9 @@ fn build_join_table(right_rows: usize, rcols: &[Column], keyed: bool) -> JoinBui
     JoinBuild { table: Some(table) }
 }
 
-/// Candidate `(left, right)` pairs for one probe unit — a whole left
-/// partition or a morsel slice of one. Hash probes visit left rows in
-/// ascending order (per-key right matches accumulate in build order), and
-/// keyless/cross joins emit the full cartesian product, so splitting a
-/// partition into morsels concatenates to exactly the whole-partition
-/// pair sequence.
+/// Candidate `(left, right)` pairs for one left partition. Hash probes
+/// visit left rows in ascending order (per-key right matches accumulate
+/// in build order); keyless/cross joins emit the full cartesian product.
 fn probe_pairs(
     left: &Batch,
     rrows: usize,
@@ -2094,8 +1887,7 @@ fn probe_pairs(
 
 /// Drop candidate pairs whose residual predicate is not TRUE. The mask
 /// evaluates elementwise over the candidate rows stacked in the join
-/// schema, so the verdict for a pair cannot depend on which probe unit
-/// (partition or morsel) carried it.
+/// schema.
 #[allow(clippy::too_many_arguments)]
 fn filter_residual_pairs(
     pairs: Vec<(usize, usize)>,
@@ -2173,60 +1965,6 @@ fn probe_partition(
 ) -> Result<(Batch, Vec<usize>), CdwError> {
     let pairs = probe_pairs(left, right.num_rows(), build, left_keys, ctx, eval_ns)?;
     assemble_join_output(left, right, pairs, kind, residual, schema, ctx, eval_ns)
-}
-
-/// Probe one left **morsel**, keeping the LEFT/FULL null-extended tail
-/// separate from the matches. A whole-partition probe emits all matches
-/// (ascending left row) followed by all unmatched lefts (ascending), so
-/// per-partition regrouping — every morsel's matches in morsel order,
-/// then every morsel's tail in morsel order — concatenates to exactly
-/// that order. Matched right rows come back per morsel; FULL's
-/// unmatched-right sweep only needs their union across morsels.
-#[allow(clippy::too_many_arguments)]
-fn probe_morsel_split(
-    left: &Batch,
-    right: &Batch,
-    build: &JoinBuild,
-    kind: JoinKind,
-    left_keys: &[CompiledExpr],
-    residual: Option<&CompiledExpr>,
-    schema: &Arc<Schema>,
-    ctx: &EvalCtx,
-    eval_ns: &AtomicU64,
-) -> Result<(Batch, Option<Batch>, Vec<usize>), CdwError> {
-    let pairs = probe_pairs(left, right.num_rows(), build, left_keys, ctx, eval_ns)?;
-    let pairs = filter_residual_pairs(pairs, left, right, residual, schema, ctx, eval_ns)?;
-    let matched_right: Vec<usize> = if kind == JoinKind::Full {
-        pairs.iter().map(|p| p.1).collect()
-    } else {
-        Vec::new()
-    };
-    let tail = if matches!(kind, JoinKind::Left | JoinKind::Full) {
-        let mut matched_left = vec![false; left.num_rows()];
-        for &(li, _) in &pairs {
-            matched_left[li] = true;
-        }
-        let t_lidx: Vec<usize> = matched_left
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !**m)
-            .map(|(li, _)| li)
-            .collect();
-        if t_lidx.is_empty() {
-            None
-        } else {
-            let t_ridx: Vec<Option<usize>> = vec![None; t_lidx.len()];
-            Some(assemble_join_columns(
-                left, right, &t_lidx, &t_ridx, schema,
-            )?)
-        }
-    } else {
-        None
-    };
-    let lidx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-    let ridx: Vec<Option<usize>> = pairs.iter().map(|p| Some(p.1)).collect();
-    let matches = assemble_join_columns(left, right, &lidx, &ridx, schema)?;
-    Ok((matches, tail, matched_right))
 }
 
 /// Turn candidate `(left, right)` pairs into this partition's output
@@ -2402,14 +2140,8 @@ fn grace_bucket_pairs(
 /// matches accumulate in ascending right-row order on both paths), and
 /// the shared [`assemble_join_output`] does the rest. Returns one
 /// `(batch, matched right rows)` per left partition, like the in-memory
-/// probe fan-out.
-///
-/// Morsel mode parallelizes the two hot phases without touching the
-/// spilled layout: probe-side key expressions evaluate per morsel (the
-/// concatenated columns — and therefore the bucket files — are identical
-/// to one whole-partition pass), and bucket passes run on the
-/// work-stealing scheduler (byte-seeded), commuting as documented on
-/// [`grace_bucket_pairs`].
+/// probe fan-out. Bucket passes run through `par_map` (byte-seeded),
+/// commuting as documented on [`grace_bucket_pairs`].
 #[allow(clippy::too_many_arguments)]
 fn spilled_join(
     lparts: &[Batch],
@@ -2422,7 +2154,6 @@ fn spilled_join(
     ctx: &ExecCtx,
     estimate: usize,
     eval_ns: &AtomicU64,
-    morsels: &AtomicUsize,
 ) -> Result<Vec<(Batch, Vec<usize>)>, CdwError> {
     let nbuckets = ctx.memory.bucket_count(estimate);
     ctx.memory.record_rounds(nbuckets);
@@ -2451,16 +2182,12 @@ fn spilled_join(
         .map(|_| SpillWriter::create())
         .collect::<Result<_, _>>()?;
     for (p, left) in lparts.iter().enumerate() {
-        let lcols: Vec<Column> = if ctx.morsel_exec().is_some() {
-            pipeline::morsel_eval_columns(left, left_keys, ctx, eval_ns, morsels)?
-        } else {
-            timed(eval_ns, || {
-                left_keys
-                    .iter()
-                    .map(|k| k.eval(left, None, &ctx.eval))
-                    .collect::<Result<_, _>>()
-            })?
-        };
+        let lcols: Vec<Column> = timed(eval_ns, || {
+            left_keys
+                .iter()
+                .map(|k| k.eval(left, None, &ctx.eval))
+                .collect::<Result<_, _>>()
+        })?;
         let mut pfields: Vec<Field> = lcols
             .iter()
             .enumerate()
@@ -2485,25 +2212,14 @@ fn spilled_join(
 
     // Bucket passes: rebuild one bucket's hash table, probe its spilled
     // probe rows, collect global (left, right) pairs per partition.
-    // Morsel mode runs buckets on the work-stealing scheduler; the
-    // static oracle keeps the sequential one-bucket-at-a-time loop.
     let nparts = lparts.len();
-    let per_bucket: Vec<Vec<Vec<(usize, usize)>>> = if ctx.morsel_exec().is_some() {
-        let items: Vec<(&SpillHandle, &SpillHandle)> =
-            bhandles.iter().zip(phandles.iter()).collect();
-        par_map(
-            ctx,
-            items,
-            |(bh, ph)| (bh.bytes() + ph.bytes()) as usize,
-            |(bh, ph)| grace_bucket_pairs(bh, ph, kw, nparts),
-        )?
-    } else {
-        bhandles
-            .iter()
-            .zip(&phandles)
-            .map(|(bh, ph)| grace_bucket_pairs(bh, ph, kw, nparts))
-            .collect::<Result<_, _>>()?
-    };
+    let items: Vec<(&SpillHandle, &SpillHandle)> = bhandles.iter().zip(&phandles).collect();
+    let per_bucket: Vec<Vec<Vec<(usize, usize)>>> = par_map(
+        ctx,
+        items,
+        |(bh, ph)| (bh.bytes() + ph.bytes()) as usize,
+        |(bh, ph)| grace_bucket_pairs(bh, ph, kw, nparts),
+    )?;
     let mut pairs_per_part: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nparts];
     for bucket in per_bucket {
         for (p, pairs) in bucket.into_iter().enumerate() {
@@ -2561,8 +2277,6 @@ mod tests {
             results: &results,
             eval: EvalCtx::default(),
             parallelism: 4,
-            morsel_rows: Some(DEFAULT_MORSEL_ROWS),
-            adaptive_morsels: false,
             memory: ExecMemoryTracker::new(None),
             sched: scheduler::SchedCounters::default(),
         };
@@ -2595,8 +2309,6 @@ mod tests {
             results: &results,
             eval: EvalCtx::default(),
             parallelism: 1,
-            morsel_rows: Some(DEFAULT_MORSEL_ROWS),
-            adaptive_morsels: false,
             memory: ExecMemoryTracker::new(None),
             sched: scheduler::SchedCounters::default(),
         };
@@ -2623,8 +2335,6 @@ mod tests {
             results,
             eval: EvalCtx::default(),
             parallelism,
-            morsel_rows: Some(DEFAULT_MORSEL_ROWS),
-            adaptive_morsels: false,
             memory: ExecMemoryTracker::new(None),
             sched: scheduler::SchedCounters::default(),
         }

@@ -1,4 +1,4 @@
-//! Work distribution for partition- and morsel-parallel stages.
+//! Work distribution for partition-parallel stages.
 //!
 //! Three layers:
 //!
@@ -19,8 +19,7 @@
 //!   queue. Cost estimates are proxies (byte sizes, row counts), so
 //!   stealing absorbs what the estimate missed.
 //! * The **persistent worker pool** — one process-wide set of long-lived
-//!   workers shared by every operator, pipeline, and concurrent server
-//!   session. `run_stealing` no longer spawns threads: the submitting
+//!   workers shared by every operator and concurrent server session. `run_stealing` no longer spawns threads: the submitting
 //!   thread participates inline (so progress never depends on pool
 //!   capacity, and nested calls are trivially deadlock-free) while idle
 //!   pool workers unpark and claim the remaining virtual worker slots.
@@ -39,9 +38,8 @@
 //! independent of completion order. A panicking task poisons the job
 //! (every unclaimed item's state drops, releasing spill files) and
 //! surfaces as one executor error. When the pool budget caps a call to a
-//! single participant, it runs inline on the submitter — morsel sinks use
-//! [`effective_workers`] to fall back to the bit-identical static path
-//! instead of paying scheduling overhead no hardware will repay.
+//! single participant ([`effective_workers`]), it runs inline on the
+//! submitter and records no scheduler task.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -239,8 +237,7 @@ pub fn worker_pool_stats() -> WorkerPoolStats {
 
 /// How many participants a stage asking for `requested` threads actually
 /// gets: the request clamped to the pool budget. `1` means "run inline,
-/// don't schedule" — morsel sinks use that to pick the bit-identical
-/// static path when parallel scheduling cannot pay for itself.
+/// don't schedule".
 pub(crate) fn effective_workers(requested: usize) -> usize {
     requested.min(worker_pool_target()).max(1)
 }
@@ -606,7 +603,7 @@ mod tests {
     }
 
     /// Stealing rebalances: participants that finish their seed keep
-    /// pulling from busier queues, so a many-morsel queue finishes even
+    /// pulling from busier queues, so a many-item queue finishes even
     /// when the seed was maximally skewed (all items on one worker's
     /// deque is impossible under LPT, so skew the costs instead).
     #[test]

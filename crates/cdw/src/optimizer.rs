@@ -1010,178 +1010,3 @@ fn split_two_phase(plan: Plan) -> Plan {
         leaf @ (Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. }) => leaf,
     }
 }
-
-// ---------------------------------------------------------------------
-// pipeline decomposition (EXPLAIN PIPELINES)
-// ---------------------------------------------------------------------
-
-/// Render the morsel-pipeline decomposition of an (optimized) plan: which
-/// Filter/Project chains fuse into per-morsel pipelines, where each
-/// pipeline's source and sink sit, and which operators break the flow
-/// (see [`Plan::is_pipeline_breaker`]). This mirrors exactly what the
-/// executor's morsel path does — the text is derived from the same
-/// `stream_chain` decomposition it executes.
-pub fn explain_pipelines(plan: &Plan) -> String {
-    let mut out = String::new();
-    explain_pipelines_into(plan, 0, &mut out);
-    out
-}
-
-/// Execution granularity annotation: operators the executor's morsel
-/// path processes morsel-at-a-time (probes of every join kind, sort run
-/// generation, window partitions, fused/spilling two-phase aggregation)
-/// vs the ones that still work partition-at-a-time or on one collapsed
-/// batch (limit, distinct, single-phase aggregation).
-fn granularity(plan: &Plan) -> &'static str {
-    match plan {
-        Plan::Filter { .. }
-        | Plan::Project { .. }
-        | Plan::Join { .. }
-        | Plan::Sort { .. }
-        | Plan::Window { .. } => "morsel",
-        Plan::Aggregate {
-            mode: AggMode::Final,
-            input,
-            ..
-        } if matches!(
-            input.as_ref(),
-            Plan::Aggregate {
-                mode: AggMode::Partial,
-                ..
-            }
-        ) =>
-        {
-            "morsel"
-        }
-        _ => "partition",
-    }
-}
-
-/// This node's own EXPLAIN label (first line of the subtree rendering).
-fn node_label(plan: &Plan) -> String {
-    plan.explain()
-        .lines()
-        .next()
-        .unwrap_or_default()
-        .trim_start()
-        .to_string()
-}
-
-/// One pipeline's operators in execution order:
-/// `source => stage => ... [=> sink]`.
-fn pipeline_line(source: &Plan, chain: &[&Plan], sink: Option<&Plan>) -> String {
-    let mut parts = vec![node_label(source)];
-    for node in chain.iter().rev() {
-        parts.push(node_label(node));
-    }
-    if let Some(s) = sink {
-        parts.push(format!("{} [sink]", node_label(s)));
-    }
-    parts.join(" => ")
-}
-
-fn indent_by(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-fn explain_pipelines_into(plan: &Plan, depth: usize, out: &mut String) {
-    // A Final-over-Partial aggregate pair: the Final merge breaks the
-    // flow; the Partial is the sink of the pipeline covering the chain
-    // below it.
-    if let Plan::Aggregate {
-        input,
-        mode: AggMode::Final,
-        ..
-    } = plan
-    {
-        if let Plan::Aggregate {
-            input: pinput,
-            mode: AggMode::Partial,
-            ..
-        } = input.as_ref()
-        {
-            indent_by(out, depth);
-            out.push_str(&format!(
-                "break: {} [{}]\n",
-                node_label(plan),
-                granularity(plan)
-            ));
-            let (chain, source) = pinput.stream_chain();
-            indent_by(out, depth + 1);
-            out.push_str(&format!(
-                "pipeline: {} [morsel]\n",
-                pipeline_line(source, &chain, Some(input))
-            ));
-            explain_pipelines_into(source, depth + 2, out);
-            return;
-        }
-    }
-    // A maximal streaming chain is one fused pipeline.
-    if plan.is_streaming_stage() {
-        let (chain, source) = plan.stream_chain();
-        indent_by(out, depth);
-        out.push_str(&format!(
-            "pipeline: {} [morsel]\n",
-            pipeline_line(source, &chain, None)
-        ));
-        explain_pipelines_into(source, depth + 1, out);
-        return;
-    }
-    match plan {
-        Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. } => {
-            indent_by(out, depth);
-            out.push_str(&format!("source: {}\n", node_label(plan)));
-        }
-        Plan::Join { left, right, .. } => {
-            indent_by(out, depth);
-            out.push_str(&format!(
-                "break: {} [build: right, probe: left] [{}]\n",
-                node_label(plan),
-                granularity(plan)
-            ));
-            explain_pipelines_into(left, depth + 1, out);
-            explain_pipelines_into(right, depth + 1, out);
-        }
-        Plan::UnionAll { inputs, .. } => {
-            // Pass-through: the union keeps every input's partitions.
-            indent_by(out, depth);
-            out.push_str(&format!(
-                "pass: {} [{}]\n",
-                node_label(plan),
-                granularity(plan)
-            ));
-            for input in inputs {
-                explain_pipelines_into(input, depth + 1, out);
-            }
-        }
-        Plan::Distinct {
-            input,
-            mode: AggMode::Partial,
-        } => {
-            indent_by(out, depth);
-            out.push_str(&format!(
-                "pass: {} [{}]\n",
-                node_label(plan),
-                granularity(plan)
-            ));
-            explain_pipelines_into(input, depth + 1, out);
-        }
-        Plan::Aggregate { input, .. }
-        | Plan::Window { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::Distinct { input, .. } => {
-            indent_by(out, depth);
-            out.push_str(&format!(
-                "break: {} [{}]\n",
-                node_label(plan),
-                granularity(plan)
-            ));
-            explain_pipelines_into(input, depth + 1, out);
-        }
-        // Streaming nodes were handled above.
-        Plan::Filter { .. } | Plan::Project { .. } => unreachable!("handled by stream_chain"),
-    }
-}

@@ -221,53 +221,6 @@ impl Plan {
         }
     }
 
-    /// Streaming stages fuse into a morsel pipeline: they transform each
-    /// morsel independently (no cross-row state), so a chain of them runs
-    /// per-morsel without materializing between operators.
-    pub fn is_streaming_stage(&self) -> bool {
-        matches!(self, Plan::Filter { .. } | Plan::Project { .. })
-    }
-
-    /// Pipeline breakers must see their whole input before emitting a
-    /// row, so a pipeline ends (and its output materializes) here: sorts,
-    /// merging aggregates/distincts, windows, and limits. A `Join` breaks
-    /// only on its build (right) side; `Partial` aggregation is a pipeline
-    /// *sink* (per-partition fold), not a breaker.
-    pub fn is_pipeline_breaker(&self) -> bool {
-        matches!(
-            self,
-            Plan::Sort { .. }
-                | Plan::Window { .. }
-                | Plan::Limit { .. }
-                | Plan::Aggregate {
-                    mode: AggMode::Single | AggMode::Final,
-                    ..
-                }
-                | Plan::Distinct {
-                    mode: AggMode::Single | AggMode::Final,
-                    ..
-                }
-        )
-    }
-
-    /// The maximal streaming chain hanging off this node: the run of
-    /// Filter/Project nodes from here down (top-down order, starting with
-    /// `self` when it streams — possibly empty), plus the first
-    /// non-streaming descendant that feeds it (the pipeline's source).
-    pub fn stream_chain(&self) -> (Vec<&Plan>, &Plan) {
-        let mut chain = Vec::new();
-        let mut node = self;
-        loop {
-            match node {
-                Plan::Filter { input, .. } | Plan::Project { input, .. } => {
-                    chain.push(node);
-                    node = input;
-                }
-                _ => return (chain, node),
-            }
-        }
-    }
-
     /// Render the plan as an indented tree (EXPLAIN-style).
     pub fn explain(&self) -> String {
         let mut out = String::new();

@@ -36,17 +36,6 @@ pub struct WarehouseConfig {
     /// spill files — with bit-identical results (see
     /// [`crate::exec::ExecMemoryTracker`]).
     pub memory_budget: Option<usize>,
-    /// Morsel height for pipelined execution (`None` = the static
-    /// partition-at-a-time executor, the oracle baseline). Results are
-    /// bit-identical either way; the morsel path only changes how work
-    /// is scheduled.
-    pub morsel_rows: Option<usize>,
-    /// Derive each pipeline's morsel height from its input shape (bytes
-    /// per row, thread count, largest partition) instead of the fixed
-    /// `morsel_rows` value. On by default; calling
-    /// [`Warehouse::set_morsel_rows`] switches to the explicit setting so
-    /// the equivalence and spill oracles can sweep fixed sizes.
-    pub adaptive_morsels: bool,
 }
 
 impl Default for WarehouseConfig {
@@ -57,8 +46,6 @@ impl Default for WarehouseConfig {
             now_micros: EvalCtx::default().now_micros,
             max_persisted_results: 256,
             memory_budget: None,
-            morsel_rows: Some(crate::exec::DEFAULT_MORSEL_ROWS),
-            adaptive_morsels: true,
         }
     }
 }
@@ -141,27 +128,6 @@ impl Warehouse {
     /// The configured per-operator memory budget.
     pub fn memory_budget(&self) -> Option<usize> {
         self.config.read().memory_budget
-    }
-
-    /// Set the morsel height for pipelined execution (`None` switches to
-    /// the static partition-at-a-time executor). Results are bit-identical
-    /// either way.
-    pub fn set_morsel_rows(&self, morsel_rows: Option<usize>) {
-        let mut config = self.config.write();
-        config.morsel_rows = morsel_rows.map(|m| m.max(1));
-        // An explicit height (or the static executor) is a request for
-        // exactly that schedule — stop deriving per-pipeline sizes.
-        config.adaptive_morsels = false;
-    }
-
-    /// Re-enable (or disable) per-pipeline adaptive morsel sizing.
-    pub fn set_adaptive_morsels(&self, adaptive: bool) {
-        self.config.write().adaptive_morsels = adaptive;
-    }
-
-    /// The configured morsel height (`None` = static execution).
-    pub fn morsel_rows(&self) -> Option<usize> {
-        self.config.read().morsel_rows
     }
 
     pub fn set_query_overhead(&self, overhead: Duration) {
@@ -381,13 +347,6 @@ impl Warehouse {
         Ok(stats.render())
     }
 
-    /// Render the morsel-pipeline decomposition of a query's optimized
-    /// plan (EXPLAIN PIPELINES-style) without executing it: fused
-    /// Filter/Project chains, pipeline sources/sinks, and breakers.
-    pub fn explain_pipelines(&self, sql: &str) -> Result<String, CdwError> {
-        Ok(crate::optimizer::explain_pipelines(&self.plan_sql(sql)?))
-    }
-
     /// Plan (without executing) — exposed for EXPLAIN-style tooling/tests.
     pub fn plan_sql(&self, sql: &str) -> Result<Plan, CdwError> {
         let stmt = parse_statement(sql)?;
@@ -419,8 +378,6 @@ impl Warehouse {
             results: &results,
             eval: self.eval_ctx(),
             parallelism: config.parallelism,
-            morsel_rows: config.morsel_rows,
-            adaptive_morsels: config.adaptive_morsels,
             memory: crate::exec::ExecMemoryTracker::new(config.memory_budget),
             sched: crate::exec::scheduler::SchedCounters::default(),
         };

@@ -6,15 +6,14 @@
 //! — the engine feature behind the paper's `FillDown` formula.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicU64;
 
 use sigma_sql::{FrameBound, WindowFrame};
 use sigma_value::{hash, sort, Batch, Column, ColumnBuilder, DataType, Value};
 
 use crate::error::CdwError;
-use crate::eval::{eval, CompiledExpr, EvalCtx};
-use crate::exec::scheduler::run_stealing;
-use crate::exec::{timed, ExecCtx};
+use crate::eval::{eval, EvalCtx};
+use crate::exec::timed;
 use crate::plan::{AggFunc, WinFunc, WindowCall};
 
 /// Compute one window call over a batch, returning the appended column.
@@ -87,204 +86,7 @@ pub fn compute_window(
 
     let mut out: Vec<Value> = vec![Value::Null; rows];
     for part in &partitions {
-        compute_partition(
-            call,
-            part,
-            &arg_cols,
-            &order_refs,
-            &sort_keys,
-            &mut |row, v| out[row] = v,
-        )?;
-    }
-    let mut b = ColumnBuilder::new(out_type, rows);
-    for v in out {
-        b.push(v).map_err(CdwError::from)?;
-    }
-    Ok(b.finish())
-}
-
-/// Morsel-driven [`compute_window`]: the same partition semantics, with
-/// both hot phases parallelized.
-///
-/// * **Expression evaluation** (partition / order / argument columns)
-///   runs per morsel on the work-stealing scheduler; the per-morsel
-///   columns concatenate to the same whole-batch columns one evaluation
-///   pass produces (elementwise kernels).
-/// * **Partition-key groups** build per morsel; merging the per-morsel
-///   groups *sequentially in morsel order* reproduces the whole-batch
-///   first-seen partition order, and each partition's row list stays
-///   ascending (morsels are ascending disjoint ranges).
-/// * **Per-partition sort + compute** runs partition-parallel, LPT-seeded
-///   by each partition's byte share so the one giant partition of a
-///   skewed input starts first. Workers return `(row, value)` pairs that
-///   scatter into disjoint row sets, so write order is irrelevant; every
-///   value is produced by the identical [`compute_partition`] sequence
-///   the static path runs.
-pub fn compute_window_morsel(
-    call: &WindowCall,
-    batch: &Batch,
-    out_type: DataType,
-    ctx: &ExecCtx,
-    eval_ns: &AtomicU64,
-    morsels_out: &AtomicUsize,
-) -> Result<Column, CdwError> {
-    let rows = batch.num_rows();
-    let mrows = crate::exec::pipeline::morsel_rows_for_batches(ctx, std::iter::once(batch));
-    let types: Vec<DataType> = batch.schema().fields().iter().map(|f| f.dtype).collect();
-    let cpart: Vec<CompiledExpr> = call
-        .partition
-        .iter()
-        .map(|p| CompiledExpr::compile(p, &types))
-        .collect::<Result<_, _>>()?;
-    let corder: Vec<CompiledExpr> = call
-        .order
-        .iter()
-        .map(|o| CompiledExpr::compile(&o.expr, &types))
-        .collect::<Result<_, _>>()?;
-    let carg: Vec<CompiledExpr> = call
-        .args
-        .iter()
-        .map(|a| CompiledExpr::compile(a, &types))
-        .collect::<Result<_, _>>()?;
-
-    let mut chunks: Vec<std::ops::Range<usize>> = Vec::with_capacity(rows.div_ceil(mrows).max(1));
-    let mut start = 0;
-    while start < rows {
-        let end = (start + mrows).min(rows);
-        chunks.push(start..end);
-        start = end;
-    }
-    morsels_out.fetch_add(chunks.len(), Ordering::Relaxed);
-
-    /// One morsel's evaluated columns plus its first-seen partition-key
-    /// groups (global row ids).
-    struct ChunkEval {
-        order: Vec<Column>,
-        args: Vec<Column>,
-        groups: Vec<(Vec<u8>, Vec<usize>)>,
-    }
-    let total_bytes = batch.byte_size();
-    let evaled: Vec<ChunkEval> = run_stealing(
-        ctx.parallelism,
-        chunks,
-        |r| crate::exec::pipeline::byte_cost(r.len(), total_bytes, rows),
-        |r| {
-            let base = r.start;
-            let len = r.len();
-            let sel: Option<Vec<usize>> = if r.start == 0 && r.end == rows {
-                None
-            } else {
-                Some(r.collect())
-            };
-            let sel = sel.as_deref();
-            type Cols = (Vec<Column>, Vec<Column>, Vec<Column>);
-            let (part, order, args): Cols = timed(eval_ns, || {
-                let part = cpart
-                    .iter()
-                    .map(|e| e.eval(batch, sel, &ctx.eval))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let order = corder
-                    .iter()
-                    .map(|e| e.eval(batch, sel, &ctx.eval))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let args = carg
-                    .iter()
-                    .map(|e| e.eval(batch, sel, &ctx.eval))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok::<_, CdwError>((part, order, args))
-            })?;
-            let mut groups: Vec<(Vec<u8>, Vec<usize>)> = Vec::new();
-            if !part.is_empty() {
-                let refs: Vec<&Column> = part.iter().collect();
-                let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-                let mut key = Vec::new();
-                for i in 0..len {
-                    key.clear();
-                    hash::encode_key(&refs, i, &mut key);
-                    let next = groups.len();
-                    let slot = *index.entry(key.clone()).or_insert(next);
-                    if slot == groups.len() {
-                        groups.push((key.clone(), Vec::new()));
-                    }
-                    groups[slot].1.push(base + i);
-                }
-            }
-            Ok(ChunkEval {
-                order,
-                args,
-                groups,
-            })
-        },
-        &ctx.sched,
-    )?;
-
-    // Merge per-morsel partition groups sequentially in morsel order —
-    // the whole-batch first-seen order, with ascending row lists.
-    let partitions: Vec<Vec<usize>> = if cpart.is_empty() {
-        vec![(0..rows).collect()]
-    } else {
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        let mut parts: Vec<Vec<usize>> = Vec::new();
-        for ce in &evaled {
-            for (key, grows) in &ce.groups {
-                let next = parts.len();
-                let slot = *index.entry(key.clone()).or_insert(next);
-                if slot == parts.len() {
-                    parts.push(Vec::new());
-                }
-                parts[slot].extend(grows);
-            }
-        }
-        parts
-    };
-
-    // Concatenate per-morsel order/argument columns to whole-batch ones.
-    let mut order_cols: Vec<Column> = Vec::with_capacity(corder.len());
-    for k in 0..corder.len() {
-        let refs: Vec<&Column> = evaled.iter().map(|ce| &ce.order[k]).collect();
-        order_cols.push(Column::concat(&refs).map_err(CdwError::from)?);
-    }
-    let mut arg_cols: Vec<Column> = Vec::with_capacity(carg.len());
-    for k in 0..carg.len() {
-        let refs: Vec<&Column> = evaled.iter().map(|ce| &ce.args[k]).collect();
-        arg_cols.push(Column::concat(&refs).map_err(CdwError::from)?);
-    }
-
-    let sort_keys: Vec<sort::SortKey> = call
-        .order
-        .iter()
-        .map(|o| sort::SortKey {
-            descending: o.descending,
-            nulls_last: o.nulls_last.unwrap_or(o.descending),
-        })
-        .collect();
-    let order_refs: Vec<&Column> = order_cols.iter().collect();
-    let outputs: Vec<Vec<(usize, Value)>> = run_stealing(
-        ctx.parallelism,
-        partitions,
-        |p| crate::exec::pipeline::byte_cost(p.len(), total_bytes, rows),
-        |mut p| {
-            if !order_refs.is_empty() {
-                sort::sort_subset(&order_refs, &sort_keys, &mut p);
-            }
-            let mut vals: Vec<(usize, Value)> = Vec::with_capacity(p.len());
-            compute_partition(
-                call,
-                &p,
-                &arg_cols,
-                &order_refs,
-                &sort_keys,
-                &mut |row, v| vals.push((row, v)),
-            )?;
-            Ok(vals)
-        },
-        &ctx.sched,
-    )?;
-    let mut out: Vec<Value> = vec![Value::Null; rows];
-    for vals in outputs {
-        for (row, v) in vals {
-            out[row] = v;
-        }
+        compute_partition(call, part, &arg_cols, &order_refs, &sort_keys, &mut out)?;
     }
     let mut b = ColumnBuilder::new(out_type, rows);
     for v in out {
@@ -335,14 +137,14 @@ fn compute_partition(
     arg_cols: &[Column],
     order_refs: &[&Column],
     sort_keys: &[sort::SortKey],
-    emit: &mut dyn FnMut(usize, Value),
+    out: &mut [Value],
 ) -> Result<(), CdwError> {
     let n = part.len();
     let arg = |slot: usize, pos: usize| -> Value { arg_cols[slot].value(part[pos]) };
     match &call.func {
         WinFunc::RowNumber => {
             for (i, &row) in part.iter().enumerate() {
-                emit(row, Value::Int(i as i64 + 1));
+                out[row] = Value::Int(i as i64 + 1);
             }
         }
         WinFunc::Rank | WinFunc::DenseRank => {
@@ -357,7 +159,7 @@ fn compute_partition(
                     rank = i as i64 + 1;
                     dense_rank += 1;
                 }
-                emit(row, Value::Int(if dense { dense_rank } else { rank }));
+                out[row] = Value::Int(if dense { dense_rank } else { rank });
             }
         }
         WinFunc::Ntile => {
@@ -375,7 +177,7 @@ fn compute_partition(
                 let size = base + usize::from(b < extra);
                 for _ in 0..size {
                     if i < n {
-                        emit(part[i], Value::Int(b as i64 + 1));
+                        out[part[i]] = Value::Int(b as i64 + 1);
                         i += 1;
                     }
                 }
@@ -429,7 +231,7 @@ fn compute_partition(
                 } else {
                     v
                 };
-                emit(row, v);
+                out[row] = v;
             }
         }
         WinFunc::FirstValue | WinFunc::LastValue | WinFunc::NthValue => {
@@ -464,7 +266,7 @@ fn compute_partition(
                     }
                     _ => unreachable!(),
                 };
-                emit(row, v.unwrap_or(Value::Null));
+                out[row] = v.unwrap_or(Value::Null);
             }
         }
         WinFunc::Agg(f) => {
@@ -502,29 +304,26 @@ fn compute_partition(
                             }
                         }
                     }
-                    emit(
-                        row,
-                        match f {
-                            AggFunc::Count | AggFunc::CountStar => Value::Int(count),
-                            AggFunc::Sum => {
-                                if !any {
-                                    Value::Null
-                                } else if is_int {
-                                    Value::Int(isum)
-                                } else {
-                                    Value::Float(sum)
-                                }
+                    out[row] = match f {
+                        AggFunc::Count | AggFunc::CountStar => Value::Int(count),
+                        AggFunc::Sum => {
+                            if !any {
+                                Value::Null
+                            } else if is_int {
+                                Value::Int(isum)
+                            } else {
+                                Value::Float(sum)
                             }
-                            AggFunc::Avg => {
-                                if count == 0 {
-                                    Value::Null
-                                } else {
-                                    Value::Float(sum / count as f64)
-                                }
+                        }
+                        AggFunc::Avg => {
+                            if count == 0 {
+                                Value::Null
+                            } else {
+                                Value::Float(sum / count as f64)
                             }
-                            _ => unreachable!(),
-                        },
-                    );
+                        }
+                        _ => unreachable!(),
+                    };
                 }
             } else {
                 // General frame: recompute per row.
@@ -541,7 +340,7 @@ fn compute_partition(
                             state.update(&arg(0, j));
                         }
                     }
-                    emit(row, state.finish());
+                    out[row] = state.finish();
                 }
             }
         }

@@ -192,58 +192,3 @@ fn left_join_right_filter_not_pushed() {
         .batch;
     assert_eq!(rows.value(0, 0), sigma_value::Value::Int(90));
 }
-
-/// Pipeline decomposition is derived purely from plan shape: streaming
-/// Filter/Project chains fuse into one pipeline line, breakers (sort,
-/// final aggregation, join build) start new ones, and the partial
-/// aggregate is marked as the fused pipeline's sink.
-#[test]
-fn explain_pipelines_shows_fused_chains_and_breakers() {
-    let wh = wh();
-    let agg = wh
-        .explain_pipelines("SELECT c, SUM(b) AS s FROM t WHERE a > 10 GROUP BY c ORDER BY s")
-        .unwrap();
-    assert!(agg.contains("break: Sort"), "{agg}");
-    assert!(agg.contains("break: Aggregate[final]"), "{agg}");
-    // Granularity annotations: sort and the fused two-phase aggregate run
-    // morsel-driven.
-    assert!(agg.contains("break: Sort (1 keys) [morsel]"), "{agg}");
-    assert!(
-        agg.contains("Aggregate[partial]") && agg.contains("[sink] [morsel]"),
-        "{agg}"
-    );
-    // The scan-side chain fuses scan, filter, and projections into one
-    // pipeline that sinks into the partial aggregate.
-    assert!(
-        agg.contains("=> Filter ") && agg.contains("=> Aggregate[partial]"),
-        "{agg}"
-    );
-    assert!(agg.contains("[sink]"), "{agg}");
-    assert!(agg.contains("source: Scan t"), "{agg}");
-
-    let join = wh
-        .explain_pipelines("SELECT t.a, dim.label FROM t JOIN dim ON t.b = dim.k WHERE t.a < 50")
-        .unwrap();
-    assert!(
-        join.contains("break: Join Inner (1 keys) [build: right, probe: left]"),
-        "{join}"
-    );
-    // Probe side keeps its own streaming pipeline; build side is a bare
-    // source.
-    assert!(join.contains("pipeline: Scan t => Filter"), "{join}");
-    assert!(join.contains("source: Scan dim"), "{join}");
-    assert!(
-        join.contains("[build: right, probe: left] [morsel]"),
-        "{join}"
-    );
-
-    // Window probes morselize; LIMIT still collapses partition-granular.
-    let win = wh
-        .explain_pipelines("SELECT a, SUM(b) OVER (PARTITION BY c) AS r FROM t LIMIT 5")
-        .unwrap();
-    assert!(
-        win.contains("break: Limit Some(5) offset 0 [partition]"),
-        "{win}"
-    );
-    assert!(win.contains("break: Window (1 calls) [morsel]"), "{win}");
-}

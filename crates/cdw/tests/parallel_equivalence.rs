@@ -6,18 +6,19 @@
 //! partial states in partition-index order, so thread count can never
 //! change a result — this test pins that invariant.
 //!
-//! The skew suite extends the pin to the morsel-driven path: pathological
-//! partition layouts (one ~90% partition, empties, 1-row tails) at
-//! parallelism {1, 4, 16} and morsel sizes {None = static oracle, 3,
-//! default} must all agree bit-for-bit, because morsels regroup by
-//! (partition, morsel index) before anything order-sensitive happens.
-//! That now covers the long tail — LEFT/FULL probes, ORDER BY, and
-//! window pipelines — and each skew case additionally re-runs the 3-row
-//! morsel setting under a 1-byte memory budget, so the morselized
-//! spilling sinks (per-morsel bucket routing, parallel sorted-run
-//! spills, Grace probes) are pinned against the same oracle.
+//! The skew suite extends the pin to the scheduler's worst case:
+//! pathological partition layouts (one ~90% partition, empties, 1-row
+//! tails) at parallelism {1, 4, 16} × memory budget {unbounded, 1 byte}
+//! must all agree bit-for-bit with serial in-memory execution — LEFT/FULL
+//! probes, ORDER BY, windows, and every spilling operator included. Two
+//! oracles apply: serial execution of the same warehouse, and the
+//! `eval_interp` row interpreter run once over the whole unpartitioned
+//! table for Filter → Project queries, which shares no partitioning,
+//! selection-vector, or vectorized-kernel code with the executor.
 
 use proptest::prelude::*;
+use sigma_cdw::eval::{eval_interp, EvalCtx};
+use sigma_cdw::plan::Plan;
 use sigma_cdw::Warehouse;
 use sigma_value::{Batch, Column, DataType, Field, Schema, Value};
 use std::sync::Arc;
@@ -54,14 +55,13 @@ const QUERIES: &[&str] = &[
      FROM t LEFT JOIN u ON t.jk = u.k GROUP BY u.lab",
     // Aggregation over UNION ALL (parts from both inputs retained).
     "SELECT g, SUM(v) AS s FROM (SELECT g, v FROM t UNION ALL SELECT g, v FROM t) x GROUP BY g",
-    // FULL join: unmatched lefts regroup per (partition, morsel) and the
-    // matched-right flags union across probe morsels.
+    // FULL join: unmatched lefts per probe partition, matched-right flags
+    // unioned across partitions.
     "SELECT t.g, t.v, u.lab FROM t FULL JOIN u ON t.jk = u.k",
-    // ORDER BY: per-morsel sorted runs k-way merged by (keys, row id).
+    // ORDER BY (external sorted runs under the 1-byte budget).
     "SELECT g, v, d FROM t ORDER BY v DESC, d, g",
     "SELECT g, v FROM t ORDER BY g",
-    // Windows: per-morsel expression eval + partition grouping merged in
-    // chunk order, partitions computed in parallel.
+    // Windows over the collapsed input.
     "SELECT g, v, SUM(v) OVER (PARTITION BY g ORDER BY v) AS w, \
             ROW_NUMBER() OVER (PARTITION BY g ORDER BY v DESC) AS rn FROM t",
     "SELECT g, AVG(d) OVER (PARTITION BY jk) AS a, LAG(v) OVER (ORDER BY g) AS l FROM t",
@@ -114,11 +114,20 @@ fn load(rows: &[(i64, Option<i64>, i64)], partition_rows: usize) -> Warehouse {
     wh
 }
 
+/// Filter → Project queries the row-interpreter oracle can replay over
+/// the whole table (see [`interp_oracle`]).
+const INTERP_QUERIES: &[&str] = &[
+    "SELECT v * 2 + jk AS x, d * 3.0 - g AS y FROM t WHERE jk < 6",
+    "SELECT CASE WHEN v > 0 THEN d ELSE -d END AS z, g % 3 AS m FROM t \
+     WHERE v > -10 AND g <> 2",
+    "SELECT COALESCE(v, jk) + g AS c FROM t",
+];
+
 /// Load `t` with a deliberately pathological partition layout: one
 /// partition holding ~90% of the rows, empty partitions interleaved, and
-/// `tails` single-row partitions (which morselize into 1-row morsels).
-/// This is the layout static `i % threads` chunking handled worst and the
-/// work-stealing scheduler must handle without changing a single bit.
+/// `tails` single-row partitions. This is the layout static
+/// `i % threads` chunking handled worst and the work-stealing scheduler
+/// must handle without changing a single bit.
 fn load_skewed(rows: &[(i64, Option<i64>, i64)], tails: usize) -> Warehouse {
     open_pool();
     let wh = Warehouse::default();
@@ -139,6 +148,42 @@ fn load_skewed(rows: &[(i64, Option<i64>, i64)], tails: usize) -> Warehouse {
     wh.load_table_parts("t", parts).unwrap();
     wh.load_table("u", dim_batch()).unwrap();
     wh
+}
+
+/// Evaluate a query's optimized Scan/Filter/Project plan with the
+/// `eval_interp` row interpreter over `table`, the whole unpartitioned
+/// fact batch: one boxed-`Value` pass per expression, no partitions, no
+/// selection vectors, no vectorized kernels.
+fn interp_oracle(plan: &Plan, table: &Batch) -> Batch {
+    let ctx = EvalCtx::default();
+    match plan {
+        Plan::Scan { .. } => table.clone(),
+        Plan::Filter { input, predicate } => {
+            let batch = interp_oracle(input, table);
+            let mask = eval_interp(predicate, &batch, &ctx).unwrap();
+            let keep: Vec<usize> = (0..batch.num_rows())
+                .filter(|&i| mask.value(i) == Value::Bool(true))
+                .collect();
+            batch.take(&keep)
+        }
+        Plan::Project {
+            input,
+            exprs,
+            schema,
+        } => {
+            let batch = interp_oracle(input, table);
+            let cols = exprs
+                .iter()
+                .zip(schema.fields())
+                .map(|(e, f)| eval_interp(e, &batch, &ctx).unwrap().cast(f.dtype).unwrap())
+                .collect();
+            Batch::new(schema.clone(), cols).unwrap()
+        }
+        other => panic!(
+            "interp oracle covers Scan/Filter/Project only, got:\n{}",
+            other.explain()
+        ),
+    }
 }
 
 /// Equality down to float bit patterns (NaN-safe, -0.0 ≠ 0.0 visible).
@@ -193,12 +238,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
     /// Skewed layouts are the scheduler's worst case: one ~90% partition,
-    /// empty partitions, and 1-row morsel tails. Serial static execution
-    /// (`parallelism = 1`, `morsel_rows = None`) is the oracle; every
-    /// combination of parallelism {1, 4, 16} × morsel setting {static,
-    /// 3-row morsels, default} must reproduce it bit-for-bit. The 3-row
-    /// morsel size forces the big partition through multi-morsel
-    /// regrouping while the tails exercise single-row morsels.
+    /// empty partitions, and 1-row tails. Serial in-memory execution is
+    /// the oracle; every combination of parallelism {1, 4, 16} × memory
+    /// budget {unbounded, 1 byte} must reproduce it bit-for-bit. The
+    /// 1-byte budget forces every spill-capable operator out of core.
+    /// Filter → Project queries are also pinned against the row
+    /// interpreter over the unpartitioned table.
     #[test]
     fn skewed_partitions_bit_identical(
         rows in proptest::collection::vec(
@@ -208,82 +253,43 @@ proptest! {
         tails in 1usize..6,
     ) {
         let wh = load_skewed(&rows, tails);
+        let table = fact_batch(&rows);
+        let mut cases: Vec<(&str, Batch)> = Vec::new();
         for sql in QUERIES {
             wh.set_parallelism(1);
-            wh.set_morsel_rows(None);
             wh.set_memory_budget(None);
-            let oracle = wh.execute_sql(sql).unwrap().batch;
+            cases.push((sql, wh.execute_sql(sql).unwrap().batch));
+        }
+        for sql in INTERP_QUERIES {
+            cases.push((sql, interp_oracle(&wh.plan_sql(sql).unwrap(), &table)));
+        }
+        for (sql, oracle) in cases {
             for &parallelism in &[1usize, 4, 16] {
                 wh.set_parallelism(parallelism);
-                // (morsel size, memory budget): the unbudgeted sweep pins
-                // the in-memory morsel paths; the 1-byte run forces every
-                // spill-capable sink out of core *while* consuming 3-row
-                // morsels, pinning the morselized spilling code.
-                for (morsel_rows, budget) in [
-                    (None, None),
-                    (Some(3), None),
-                    (Some(4096), None),
-                    (Some(3), Some(1)),
-                ] {
-                    wh.set_morsel_rows(morsel_rows);
+                for budget in [None, Some(1)] {
                     wh.set_memory_budget(budget);
                     let got = wh.execute_sql(sql).unwrap().batch;
-                    let what = format!("{sql} [p={parallelism} morsel={morsel_rows:?} budget={budget:?}]");
+                    let what = format!("{sql} [p={parallelism} budget={budget:?}]");
                     assert_bit_identical(&oracle, &got, &what);
                 }
-                wh.set_memory_budget(None);
             }
         }
     }
 }
 
-/// Adaptive per-pipeline morsel sizing (the default config) is a pure
-/// scheduling choice: over the skewed layout, every query must match the
-/// static serial oracle bit-for-bit at parallelism {1, 4}, and an
-/// explicit `set_morsel_rows` must win over adaptivity (sweeping a fixed
-/// 3-row size after enabling adaptive mode still matches).
+/// Deterministic worst-case layout, checked down to the scheduler
+/// counters: `[empty, 36-row, empty, 1-row × 4, empty]` aggregates over
+/// all 8 partitions at parallelism 4 and still matches the serial oracle
+/// exactly.
 #[test]
-fn adaptive_morsel_sizing_bit_identical() {
-    let rows: Vec<(i64, Option<i64>, i64)> = (0..60).map(|i| (i % 4, Some(i * 7), i % 8)).collect();
-    let wh = load_skewed(&rows, 4);
-    for sql in QUERIES {
-        wh.set_parallelism(1);
-        wh.set_morsel_rows(None); // static oracle; also disables adaptive
-        let oracle = wh.execute_sql(sql).unwrap().batch;
-        for &parallelism in &[1usize, 4] {
-            wh.set_parallelism(parallelism);
-            wh.set_morsel_rows(Some(sigma_cdw::exec::DEFAULT_MORSEL_ROWS));
-            wh.set_adaptive_morsels(true);
-            let adaptive = wh.execute_sql(sql).unwrap().batch;
-            assert_bit_identical(
-                &oracle,
-                &adaptive,
-                &format!("{sql} [adaptive p={parallelism}]"),
-            );
-            // Explicit size overrides adaptivity.
-            wh.set_morsel_rows(Some(3));
-            assert!(!wh.config().adaptive_morsels);
-            let fixed = wh.execute_sql(sql).unwrap().batch;
-            assert_bit_identical(&oracle, &fixed, &format!("{sql} [fixed-3 p={parallelism}]"));
-        }
-    }
-}
-
-/// Deterministic worst-case layout, checked down to the morsel counters:
-/// `[empty, 36-row, empty, 1-row × 4, empty]` under 3-row morsels must
-/// split into 19 morsels over 8 partitions (12 for the big partition, one
-/// each for the rest) and still match the static serial oracle exactly.
-#[test]
-fn skewed_layout_morsel_stats_and_equivalence() {
+fn skewed_layout_stats_and_equivalence() {
     let rows: Vec<(i64, Option<i64>, i64)> = (0..40).map(|i| (i % 4, Some(i), i % 8)).collect();
     let wh = load_skewed(&rows, 4);
     let sql = "SELECT g, COUNT(*) AS c, SUM(v) AS s, AVG(d) AS a FROM t GROUP BY g";
     wh.set_parallelism(1);
-    wh.set_morsel_rows(None);
     let oracle = wh.execute_sql(sql).unwrap().batch;
 
     wh.set_parallelism(4);
-    wh.set_morsel_rows(Some(3));
     let result = wh.execute_sql(sql).unwrap();
     assert_bit_identical(&oracle, &result.batch, sql);
     let partial = result
@@ -292,13 +298,11 @@ fn skewed_layout_morsel_stats_and_equivalence() {
         .find(|o| o.op.starts_with("Aggregate[partial]"))
         .unwrap();
     assert_eq!(partial.partitions, 8, "{partial:?}");
-    assert_eq!(partial.morsels, 19, "{partial:?}");
     let analyzed = wh.explain_analyze(sql).unwrap();
-    assert!(analyzed.contains("morsels=19"), "{analyzed}");
 
-    // The pooled scheduler reports per-query counters: a 4-way morselized
-    // aggregate dispatches parallel tasks, and every task is accounted to
-    // either an own-queue pop or a steal.
+    // The pooled scheduler reports per-query counters: a 4-way
+    // partition-parallel aggregate dispatches one task per partition, and
+    // every task is accounted to either an own-queue pop or a steal.
     assert!(analyzed.contains("scheduler: tasks="), "{analyzed}");
     assert!(
         analyzed.contains("local=") && analyzed.contains("steals="),
@@ -318,60 +322,14 @@ fn skewed_layout_morsel_stats_and_equivalence() {
     };
     let (tasks, local, steals) = (field("tasks="), field("local="), field("steals="));
     assert!(
-        tasks > 0,
-        "parallel query dispatched no tasks: {sched_line}"
+        tasks >= 8,
+        "parallel aggregate dispatched fewer tasks than partitions: {sched_line}"
     );
     assert_eq!(
         local + steals,
         tasks,
         "every task is an own-queue pop or a steal: {sched_line}"
     );
-}
-
-/// The newly morselized operators must actually engage the morsel path
-/// and say so: under 3-row morsels, LEFT join probes, sort, and window
-/// all report nonzero `morsels` in their [`OpStats`] entry and in
-/// `explain_analyze` — while matching the static serial oracle exactly.
-#[test]
-fn long_tail_operators_report_morsels() {
-    let rows: Vec<(i64, Option<i64>, i64)> = (0..40).map(|i| (i % 4, Some(i), i % 8)).collect();
-    let wh = load_skewed(&rows, 4);
-    let cases = [
-        (
-            "Join Left",
-            "SELECT t.g, u.lab FROM t LEFT JOIN u ON t.jk = u.k",
-        ),
-        ("Sort", "SELECT g, v, d FROM t ORDER BY v DESC, g"),
-        (
-            "Window",
-            "SELECT g, SUM(v) OVER (PARTITION BY g ORDER BY v) AS w FROM t",
-        ),
-    ];
-    for (op_prefix, sql) in cases {
-        wh.set_parallelism(1);
-        wh.set_morsel_rows(None);
-        let oracle = wh.execute_sql(sql).unwrap();
-        let static_op = oracle
-            .operators
-            .iter()
-            .find(|o| o.op.starts_with(op_prefix))
-            .unwrap_or_else(|| panic!("no {op_prefix} op: {:?}", oracle.operators));
-        assert_eq!(static_op.morsels, 0, "static path counted morsels: {sql}");
-
-        wh.set_parallelism(4);
-        wh.set_morsel_rows(Some(3));
-        let result = wh.execute_sql(sql).unwrap();
-        assert_bit_identical(&oracle.batch, &result.batch, sql);
-        let op = result
-            .operators
-            .iter()
-            .find(|o| o.op.starts_with(op_prefix))
-            .unwrap_or_else(|| panic!("no {op_prefix} op: {:?}", result.operators));
-        assert!(op.morsels > 0, "morsel path did not engage: {op:?} {sql}");
-        let analyzed = wh.explain_analyze(sql).unwrap();
-        assert!(analyzed.contains("morsels="), "{analyzed}");
-    }
-    wh.set_morsel_rows(None);
 }
 
 /// The split must actually engage: a grouped aggregate over a partitioned

@@ -3,13 +3,11 @@
 //! **bit-identical** (row order, column types, float bit patterns) to the
 //! unbudgeted in-memory execution — at any parallelism.
 //!
-//! The in-memory oracle is `budget = ∞, parallelism = 1, morsel_rows =
-//! None`; each generated table/query runs additionally at `(∞, 4)`,
-//! `(1 byte, 1)` and `(1 byte, 4)` (a 1-byte budget forces every
-//! aggregation, sort, and hash-join build out of core), each both on the
-//! static path and with 3-row morsels — the latter drives the morselized
-//! spilling sinks (per-morsel bucket routing into the spilled aggregate,
-//! parallel sorted-run spills, morsel-evaluated Grace probe keys). A
+//! The in-memory oracle is `budget = ∞, parallelism = 1`; each generated
+//! table/query runs additionally at `(∞, 4)`, `(1 byte, 1)` and
+//! `(1 byte, 4)` (a 1-byte budget forces every aggregation, sort, and
+//! hash-join build out of core; at parallelism 4 the spilled
+//! aggregation's and Grace join's bucket passes run on pool workers). A
 //! deterministic companion test pins the
 //! observability half of the contract: forced-spill runs report nonzero
 //! `spilled_bytes` and ≥2 `spill_rounds` for aggregate, sort, and join —
@@ -51,8 +49,7 @@ const QUERIES: &[&str] = &[
 
 fn load(rows: &[(i64, Option<i64>, i64)], partition_rows: usize) -> Warehouse {
     // Open the shared worker pool so `parallelism = p` occupies p slots;
-    // the sweep below then exercises pooled worker counts, and the morsel
-    // paths (which gate off when execution is effectively serial) engage.
+    // the sweep below then exercises pooled worker counts.
     sigma_cdw::grow_worker_pool_target(16);
     let wh = Warehouse::default();
     let schema = Arc::new(Schema::new(vec![
@@ -136,7 +133,6 @@ proptest! {
         for sql in QUERIES {
             wh.set_memory_budget(None);
             wh.set_parallelism(1);
-            wh.set_morsel_rows(None);
             let oracle = wh.execute_sql(sql).unwrap();
             assert_eq!(oracle.spilled_bytes, 0, "unbudgeted must not spill: {sql}");
             assert_eq!(oracle.spill_rounds, 0, "unbudgeted must not spill: {sql}");
@@ -145,18 +141,13 @@ proptest! {
             {
                 wh.set_memory_budget(budget);
                 wh.set_parallelism(parallelism);
-                for morsel_rows in [None, Some(3)] {
-                    wh.set_morsel_rows(morsel_rows);
-                    let run = wh.execute_sql(sql).unwrap();
-                    let what =
-                        format!("{sql} [budget={budget:?} p={parallelism} morsel={morsel_rows:?}]");
-                    assert_bit_identical(&oracle.batch, &run.batch, &what);
-                    if budget.is_none() {
-                        assert_eq!(run.spilled_bytes, 0, "{what}");
-                    }
+                let run = wh.execute_sql(sql).unwrap();
+                let what = format!("{sql} [budget={budget:?} p={parallelism}]");
+                assert_bit_identical(&oracle.batch, &run.batch, &what);
+                if budget.is_none() {
+                    assert_eq!(run.spilled_bytes, 0, "{what}");
                 }
             }
-            wh.set_morsel_rows(None);
         }
     }
 }
@@ -245,53 +236,6 @@ fn forced_spill_reports_rounds_and_bytes() {
         }
     }
     wh.set_memory_budget(None);
-}
-
-/// The morselized spilling sinks must actually engage: with 3-row
-/// morsels and a 1-byte budget, the spill-capable operators both spill
-/// (nonzero bytes) and consume morsels (nonzero `morsels` stat) — while
-/// reproducing the unbudgeted static serial oracle bit-for-bit.
-#[test]
-fn morselized_spilling_spills_and_counts_morsels() {
-    let rows: Vec<(i64, Option<i64>, i64)> = (0..400)
-        .map(|i| (i % 13, if i % 7 == 0 { None } else { Some(i % 97) }, i % 8))
-        .collect();
-    let wh = load(&rows, 64); // 7 partitions
-    let cases = [
-        (
-            "Aggregate[partial]",
-            "SELECT g, SUM(v) AS s, AVG(d) AS a FROM t GROUP BY g",
-        ),
-        ("Sort", "SELECT g, v, d FROM t ORDER BY v DESC, g"),
-        (
-            "Join Inner",
-            "SELECT t.g, u.lab FROM t JOIN u ON t.jk = u.k",
-        ),
-    ];
-    for (op_prefix, sql) in cases {
-        wh.set_memory_budget(None);
-        wh.set_parallelism(1);
-        wh.set_morsel_rows(None);
-        let oracle = wh.execute_sql(sql).unwrap();
-
-        wh.set_memory_budget(Some(1));
-        wh.set_parallelism(4);
-        wh.set_morsel_rows(Some(3));
-        let run = wh.execute_sql(sql).unwrap();
-        assert!(run.spilled_bytes > 0, "budget did not force a spill: {sql}");
-        assert_bit_identical(&oracle.batch, &run.batch, sql);
-        let op = run
-            .operators
-            .iter()
-            .find(|o| o.op.starts_with(op_prefix))
-            .unwrap_or_else(|| panic!("no {op_prefix} op: {:?}", run.operators));
-        assert!(
-            op.morsels > 0,
-            "morselized spill path did not engage: {op:?} {sql}"
-        );
-    }
-    wh.set_memory_budget(None);
-    wh.set_morsel_rows(None);
 }
 
 /// DML wrapping a query (CTAS / INSERT ... SELECT) reports the inner

@@ -6,14 +6,14 @@
 //!
 //! What is pinned, per `set_worker_pool_target` value {1, 4, 16}:
 //!
-//! * **Bit-identity** — every query result matches the serial static
-//!   oracle exactly, for parallelism {1, 4, 16} × morsel {None, 3, 4096}.
-//!   The pool target only decides *where* work runs, never what it
-//!   computes.
-//! * **Serial collapse at pool = 1** — a 1-thread budget turns every
-//!   parallel/morselized query into plain static execution: operators
-//!   report `morsels = 0` and the scheduler counters show zero steals and
-//!   zero unparks no matter what `parallelism`/`morsel_rows` ask for.
+//! * **Bit-identity** — every query result matches the serial in-memory
+//!   oracle exactly, for parallelism {1, 4, 16} × memory budget
+//!   {unbounded, 1 byte}. The pool target only decides *where* work
+//!   runs, never what it computes.
+//! * **Serial collapse at pool = 1** — a 1-thread budget runs every
+//!   parallel stage inline on the submitting thread: the scheduler
+//!   counters show zero steals and zero unparks, and every task is an
+//!   own-queue pop, no matter what `parallelism` asks for.
 //! * **Thread cap** — after arbitrarily parallel queries, the pool's
 //!   live worker count never exceeds its configured target.
 
@@ -95,7 +95,6 @@ fn sched_counter(analyzed: &str, key: &str) -> usize {
 fn exact_pool_sizes_stay_bit_identical_and_bounded() {
     let wh = load();
     wh.set_parallelism(1);
-    wh.set_morsel_rows(None);
     let oracles: Vec<Batch> = QUERIES
         .iter()
         .map(|sql| wh.execute_sql(sql).unwrap().batch)
@@ -106,15 +105,15 @@ fn exact_pool_sizes_stay_bit_identical_and_bounded() {
         assert_eq!(worker_pool_target(), pool);
         for &parallelism in &[1usize, 4, 16] {
             wh.set_parallelism(parallelism);
-            for morsel_rows in [None, Some(3), Some(4096)] {
-                wh.set_morsel_rows(morsel_rows);
+            for budget in [None, Some(1)] {
+                wh.set_memory_budget(budget);
                 for (sql, oracle) in QUERIES.iter().zip(&oracles) {
                     let got = wh.execute_sql(sql).unwrap();
-                    let what =
-                        format!("{sql} [pool={pool} p={parallelism} morsel={morsel_rows:?}]");
+                    let what = format!("{sql} [pool={pool} p={parallelism} budget={budget:?}]");
                     assert_bit_identical(oracle, &got.batch, &what);
                 }
             }
+            wh.set_memory_budget(None);
         }
         let stats = worker_pool_stats();
         assert!(
@@ -123,17 +122,13 @@ fn exact_pool_sizes_stay_bit_identical_and_bounded() {
         );
     }
 
-    // A 1-thread pool degrades every query to static serial execution:
-    // no morsels, no steals, no worker wake-ups — regardless of the
-    // requested parallelism and morsel height.
+    // A 1-thread pool degrades every query to serial execution: no
+    // steals, no worker wake-ups — regardless of the requested
+    // parallelism, in memory or spilling.
     set_worker_pool_target(1);
     wh.set_parallelism(16);
-    wh.set_morsel_rows(Some(3));
-    for sql in QUERIES {
-        let result = wh.execute_sql(sql).unwrap();
-        for op in &result.operators {
-            assert_eq!(op.morsels, 0, "pool=1 must gate off morsels: {op:?} {sql}");
-        }
+    for (sql, budget) in QUERIES.iter().flat_map(|q| [(q, None), (q, Some(1))]) {
+        wh.set_memory_budget(budget);
         let analyzed = wh.explain_analyze(sql).unwrap();
         assert_eq!(sched_counter(&analyzed, "steals="), 0, "{analyzed}");
         assert_eq!(sched_counter(&analyzed, "unparks="), 0, "{analyzed}");
@@ -145,14 +140,13 @@ fn exact_pool_sizes_stay_bit_identical_and_bounded() {
         );
     }
 
-    // And reopening the pool re-engages the morsel path on the same
-    // warehouse (the gate reads the live target, not captured state).
+    wh.set_memory_budget(None);
+
+    // Reopening the pool on the same warehouse (the clamp reads the live
+    // target, not captured state) stays bit-identical and within budget.
     set_worker_pool_target(4);
     let result = wh.execute_sql(QUERIES[0]).unwrap();
-    assert!(
-        result.operators.iter().any(|op| op.morsels > 0),
-        "pool=4 must re-engage morsels: {:?}",
-        result.operators
-    );
     assert_bit_identical(&oracles[0], &result.batch, "reopened pool");
+    let stats = worker_pool_stats();
+    assert!(stats.live <= 4, "reopened pool over budget: {stats:?}");
 }

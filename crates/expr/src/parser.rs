@@ -32,6 +32,14 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting a formula may have: every parenthesis, function
+/// call, prefix operator, and each link of an operator chain counts one
+/// level. Past it parsing fails with an error instead of recursing until
+/// the thread's stack overflows. 64 is the nesting limit spreadsheet
+/// users already know, and keeps a compiled formula well inside the SQL
+/// parser's own limit.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a formula from text.
 pub fn parse_formula(input: &str) -> Result<Formula, ParseError> {
     let tokens = lex(input)?;
@@ -39,6 +47,7 @@ pub fn parse_formula(input: &str) -> Result<Formula, ParseError> {
         tokens,
         pos: 0,
         input_len: input.len(),
+        depth: 0,
     };
     let expr = p.parse_expr(0)?;
     if let Some(tok) = p.peek() {
@@ -54,6 +63,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     input_len: usize,
+    /// Current nesting, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -75,6 +86,15 @@ impl Parser {
             message: message.into(),
             offset,
         }
+    }
+
+    /// Go one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err_here(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
@@ -117,6 +137,8 @@ impl Parser {
     }
 
     fn parse_expr(&mut self, min_prec: u8) -> Result<Formula, ParseError> {
+        let depth = self.depth;
+        self.descend()?;
         let mut left = self.parse_prefix()?;
         while let Some(op) = self.peek_binop() {
             let prec = op.precedence();
@@ -127,7 +149,10 @@ impl Parser {
             let next_min = if op.right_assoc() { prec } else { prec + 1 };
             let right = self.parse_expr(next_min)?;
             left = Formula::binary(op, left, right);
+            // The chain wrapped `left` one level deeper.
+            self.descend()?;
         }
+        self.depth = depth;
         Ok(left)
     }
 
@@ -250,6 +275,40 @@ mod tests {
 
     fn p(input: &str) -> Formula {
         parse_formula(input).unwrap()
+    }
+
+    /// Parse on a fresh thread with the default (2 MiB) stack, the size
+    /// server session threads get.
+    fn parse_on_default_stack(input: String) -> Result<Formula, ParseError> {
+        std::thread::spawn(move || parse_formula(&input))
+            .join()
+            .expect("parser thread overflowed its stack")
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        let n = 100_000;
+        let hostile = [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}1{}", "Abs(".repeat(n), ")".repeat(n)),
+            format!("{}[x]", "-".repeat(n)),
+            format!("{}true", "not ".repeat(n)),
+            format!("{}2", "2^".repeat(n)),
+            format!("{}1", "1+".repeat(n)),
+        ];
+        for input in hostile {
+            let head: String = input.chars().take(8).collect();
+            let err = parse_on_default_stack(input).unwrap_err();
+            assert!(err.message.contains("nesting deeper than"), "{head}: {err}");
+        }
+        // The deepest accepted input parses (and drops) on the same stack:
+        // the top level plus one level per parenthesis.
+        let parens = |k: usize| format!("{}1{}", "(".repeat(k), ")".repeat(k));
+        assert!(parse_on_default_stack(parens(MAX_DEPTH - 1)).is_ok());
+        assert!(parse_on_default_stack(parens(MAX_DEPTH)).is_err());
+        let chain = |k: usize| format!("{}1", "1+".repeat(k));
+        assert!(parse_on_default_stack(chain(MAX_DEPTH - 1)).is_ok());
+        assert!(parse_on_default_stack(chain(MAX_DEPTH)).is_err());
     }
 
     #[test]

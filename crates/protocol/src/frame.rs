@@ -51,6 +51,9 @@ pub enum FrameError {
     TooLarge(u32),
     /// The payload arrived but its CRC does not match.
     Corrupt { expected: u32, actual: u32 },
+    /// The frame arrived intact but its payload is not a valid message
+    /// (bad UTF-8 or JSON, nesting past the parser's limit, wrong shape).
+    Malformed(String),
 }
 
 impl std::fmt::Display for FrameError {
@@ -76,6 +79,7 @@ impl std::fmt::Display for FrameError {
                 f,
                 "frame payload corrupt: crc {actual:08x}, header says {expected:08x}"
             ),
+            FrameError::Malformed(m) => write!(f, "malformed message: {m}"),
         }
     }
 }

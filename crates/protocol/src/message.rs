@@ -147,21 +147,21 @@ impl WireBatch {
     pub fn to_batch(&self) -> Result<Batch, FrameError> {
         let s = self.hex.as_bytes();
         if !s.len().is_multiple_of(2) {
-            return Err(FrameError::Io("odd-length batch hex".into()));
+            return Err(FrameError::Malformed("odd-length batch hex".into()));
         }
         let nibble = |c: u8| -> Result<u8, FrameError> {
             match c {
                 b'0'..=b'9' => Ok(c - b'0'),
                 b'a'..=b'f' => Ok(c - b'a' + 10),
                 b'A'..=b'F' => Ok(c - b'A' + 10),
-                _ => Err(FrameError::Io(format!("bad hex byte {c:#x}"))),
+                _ => Err(FrameError::Malformed(format!("bad hex byte {c:#x}"))),
             }
         };
         let mut bytes = Vec::with_capacity(s.len() / 2);
         for pair in s.chunks_exact(2) {
             bytes.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
         }
-        codec::decode_batch(&bytes).map_err(|e| FrameError::Io(format!("batch decode: {e}")))
+        codec::decode_batch(&bytes).map_err(|e| FrameError::Malformed(format!("batch decode: {e}")))
     }
 }
 
@@ -173,9 +173,10 @@ fn encode_message<T: Serialize>(msg: &T) -> Result<Vec<u8>, FrameError> {
 
 fn decode_message<T: Deserialize>(payload: &[u8]) -> Result<T, FrameError> {
     let text = std::str::from_utf8(payload)
-        .map_err(|e| FrameError::Io(format!("payload not utf-8: {e}")))?;
-    let value = serde_json::from_str(text).map_err(|e| FrameError::Io(format!("parse: {e}")))?;
-    serde_json::from_value(&value).map_err(|e| FrameError::Io(format!("decode: {e}")))
+        .map_err(|e| FrameError::Malformed(format!("payload not utf-8: {e}")))?;
+    let value =
+        serde_json::from_str(text).map_err(|e| FrameError::Malformed(format!("parse: {e}")))?;
+    serde_json::from_value(&value).map_err(|e| FrameError::Malformed(format!("decode: {e}")))
 }
 
 /// Encode a request into a complete frame.

@@ -164,9 +164,10 @@ fn run_session(service: &SigmaService, stream: TcpStream) {
                 return;
             }
             Err(e) => {
-                // Framing-level rejection (bad magic/version/CRC/length):
-                // tell the peer why, then hang up — resynchronizing a
-                // corrupt frame stream is not worth the ambiguity.
+                // Framing-level rejection (bad magic/version/CRC/length)
+                // or an undecodable message: tell the peer why, then hang
+                // up — resynchronizing a corrupt frame stream is not worth
+                // the ambiguity.
                 let resp = Response::Error {
                     kind: ErrorKind::BadRequest,
                     message: e.to_string(),

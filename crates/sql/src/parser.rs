@@ -11,6 +11,14 @@ use sigma_value::{calendar, DataType, Value};
 use crate::ast::*;
 use crate::lexer::{lex_sql, SqlLexError, SqlToken, SqlTokenKind};
 
+/// Deepest nesting the parser accepts: every parenthesis, subquery,
+/// prefix operator, and each link of an operator or `UNION ALL` chain
+/// counts one level. Past it parsing fails with an error instead of
+/// recursing until the thread's stack overflows. Compiled workbook SQL
+/// nests far less; the deepest accepted statement parses on a default
+/// 2 MiB thread stack even unoptimized.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse failure with offset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SqlParseError {
@@ -46,6 +54,7 @@ pub fn parse_statement(input: &str) -> Result<Statement, SqlParseError> {
         tokens,
         pos: 0,
         input_len: input.len(),
+        depth: 0,
     };
     let stmt = p.statement()?;
     p.expect_end()?;
@@ -59,6 +68,7 @@ pub fn parse_query(input: &str) -> Result<Query, SqlParseError> {
         tokens,
         pos: 0,
         input_len: input.len(),
+        depth: 0,
     };
     let q = p.query()?;
     p.expect_end()?;
@@ -69,6 +79,8 @@ struct Parser {
     tokens: Vec<SqlToken>,
     pos: usize,
     input_len: usize,
+    /// Current nesting, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -99,6 +111,16 @@ impl Parser {
             message: message.into(),
             offset: self.offset(),
         }
+    }
+
+    /// Go one nesting level deeper, failing past [`MAX_DEPTH`]. Callers
+    /// save `self.depth` on entry and restore it on success.
+    fn descend(&mut self) -> Result<(), SqlParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
     }
 
     fn expect_end(&self) -> Result<(), SqlParseError> {
@@ -336,6 +358,8 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn query(&mut self) -> Result<Query, SqlParseError> {
+        let depth = self.depth;
+        self.descend()?;
         let mut ctes = Vec::new();
         if self.eat_word("WITH") {
             loop {
@@ -364,6 +388,7 @@ impl Parser {
         if self.eat_word("OFFSET") {
             offset = Some(self.unsigned_number()?);
         }
+        self.depth = depth;
         Ok(Query {
             ctes,
             body,
@@ -417,13 +442,17 @@ impl Parser {
     }
 
     fn set_expr(&mut self) -> Result<SetExpr, SqlParseError> {
+        let depth = self.depth;
+        self.descend()?;
         let mut left = self.set_primary()?;
         while self.at_word("UNION") {
             self.expect_word("UNION")?;
             self.expect_word("ALL")?;
             let right = self.set_primary()?;
             left = SetExpr::UnionAll(Box::new(left), Box::new(right));
+            self.descend()?;
         }
+        self.depth = depth;
         Ok(left)
     }
 
@@ -589,66 +618,17 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn expr(&mut self, min_prec: u8) -> Result<SqlExpr, SqlParseError> {
+        let depth = self.depth;
+        self.descend()?;
         let mut left = self.prefix()?;
+        // Each postfix predicate or binary operator below wraps `left`
+        // one level deeper.
         loop {
             // Postfix predicates at comparison precedence.
-            if min_prec <= 4 {
-                if self.at_word("IS") {
-                    self.expect_word("IS")?;
-                    let negated = self.eat_word("NOT");
-                    self.expect_word("NULL")?;
-                    left = SqlExpr::IsNull {
-                        expr: Box::new(left),
-                        negated,
-                    };
-                    continue;
-                }
-                let negated_ahead = self.at_word("NOT")
-                    && (self.at_word_n(1, "IN")
-                        || self.at_word_n(1, "BETWEEN")
-                        || self.at_word_n(1, "LIKE"));
-                if self.at_word("IN")
-                    || self.at_word("BETWEEN")
-                    || self.at_word("LIKE")
-                    || negated_ahead
-                {
-                    let negated = self.eat_word("NOT");
-                    if self.eat_word("IN") {
-                        self.expect(&SqlTokenKind::LParen)?;
-                        let mut list = Vec::new();
-                        loop {
-                            list.push(self.expr(0)?);
-                            if !self.eat(&SqlTokenKind::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(&SqlTokenKind::RParen)?;
-                        left = SqlExpr::InList {
-                            expr: Box::new(left),
-                            list,
-                            negated,
-                        };
-                    } else if self.eat_word("BETWEEN") {
-                        let low = self.expr(5)?;
-                        self.expect_word("AND")?;
-                        let high = self.expr(5)?;
-                        left = SqlExpr::Between {
-                            expr: Box::new(left),
-                            low: Box::new(low),
-                            high: Box::new(high),
-                            negated,
-                        };
-                    } else {
-                        self.expect_word("LIKE")?;
-                        let pattern = self.expr(5)?;
-                        left = SqlExpr::Like {
-                            expr: Box::new(left),
-                            pattern: Box::new(pattern),
-                            negated,
-                        };
-                    }
-                    continue;
-                }
+            if min_prec <= 4 && self.at_postfix_predicate() {
+                left = self.postfix_predicate(left)?;
+                self.descend()?;
+                continue;
             }
             let Some(op) = self.peek_binop() else { break };
             let prec = op.precedence();
@@ -662,8 +642,71 @@ impl Parser {
                 left: Box::new(left),
                 right: Box::new(right),
             };
+            self.descend()?;
         }
+        self.depth = depth;
         Ok(left)
+    }
+
+    /// `IS [NOT] NULL`, `[NOT] IN`, `[NOT] BETWEEN`, or `[NOT] LIKE` ahead.
+    fn at_postfix_predicate(&self) -> bool {
+        self.at_word("IS")
+            || self.at_word("IN")
+            || self.at_word("BETWEEN")
+            || self.at_word("LIKE")
+            || (self.at_word("NOT")
+                && (self.at_word_n(1, "IN")
+                    || self.at_word_n(1, "BETWEEN")
+                    || self.at_word_n(1, "LIKE")))
+    }
+
+    /// Wrap `left` in the postfix predicate [`Parser::at_postfix_predicate`]
+    /// found. Kept out of [`Parser::expr`] so the frames on the recursion
+    /// path stay small.
+    fn postfix_predicate(&mut self, left: SqlExpr) -> Result<SqlExpr, SqlParseError> {
+        if self.eat_word("IS") {
+            let negated = self.eat_word("NOT");
+            self.expect_word("NULL")?;
+            return Ok(SqlExpr::IsNull {
+                expr: Box::new(left),
+                negated,
+            });
+        }
+        let negated = self.eat_word("NOT");
+        if self.eat_word("IN") {
+            self.expect(&SqlTokenKind::LParen)?;
+            let mut list = Vec::new();
+            loop {
+                list.push(self.expr(0)?);
+                if !self.eat(&SqlTokenKind::Comma) {
+                    break;
+                }
+            }
+            self.expect(&SqlTokenKind::RParen)?;
+            Ok(SqlExpr::InList {
+                expr: Box::new(left),
+                list,
+                negated,
+            })
+        } else if self.eat_word("BETWEEN") {
+            let low = self.expr(5)?;
+            self.expect_word("AND")?;
+            let high = self.expr(5)?;
+            Ok(SqlExpr::Between {
+                expr: Box::new(left),
+                low: Box::new(low),
+                high: Box::new(high),
+                negated,
+            })
+        } else {
+            self.expect_word("LIKE")?;
+            let pattern = self.expr(5)?;
+            Ok(SqlExpr::Like {
+                expr: Box::new(left),
+                pattern: Box::new(pattern),
+                negated,
+            })
+        }
     }
 
     fn peek_binop(&self) -> Option<SqlBinaryOp> {
@@ -728,80 +771,88 @@ impl Parser {
                 Ok(inner)
             }
             Some(SqlTokenKind::QuotedIdent(_)) => self.column_or_call(),
-            Some(SqlTokenKind::Word(w)) => {
-                let upper = w.to_ascii_uppercase();
-                match upper.as_str() {
-                    "TRUE" => {
-                        self.advance();
-                        Ok(SqlExpr::Literal(Value::Bool(true)))
-                    }
-                    "FALSE" => {
-                        self.advance();
-                        Ok(SqlExpr::Literal(Value::Bool(false)))
-                    }
-                    "NULL" => {
-                        self.advance();
-                        Ok(SqlExpr::Literal(Value::Null))
-                    }
-                    "NOT" => {
-                        self.advance();
-                        let expr = self.expr(3)?;
-                        Ok(SqlExpr::Unary {
-                            op: SqlUnaryOp::Not,
-                            expr: Box::new(expr),
-                        })
-                    }
-                    "CASE" => self.case_expr(),
-                    "CAST" => {
-                        self.advance();
-                        self.expect(&SqlTokenKind::LParen)?;
-                        let expr = self.expr(0)?;
-                        self.expect_word("AS")?;
-                        let ty_word = self.ident()?;
-                        let dtype = DataType::parse_sql(&ty_word)
-                            .ok_or_else(|| self.err(format!("unknown type {ty_word}")))?;
-                        self.expect(&SqlTokenKind::RParen)?;
-                        Ok(SqlExpr::Cast {
-                            expr: Box::new(expr),
-                            dtype,
-                        })
-                    }
-                    "DATE" if matches!(self.peek_at(1), Some(SqlTokenKind::Str(_))) => {
-                        self.advance();
-                        let Some(SqlTokenKind::Str(s)) = self.advance() else {
-                            unreachable!()
-                        };
-                        let days = calendar::parse_date(&s)
-                            .ok_or_else(|| self.err(format!("bad date literal {s:?}")))?;
-                        Ok(SqlExpr::Literal(Value::Date(days)))
-                    }
-                    "TIMESTAMP" if matches!(self.peek_at(1), Some(SqlTokenKind::Str(_))) => {
-                        self.advance();
-                        let Some(SqlTokenKind::Str(s)) = self.advance() else {
-                            unreachable!()
-                        };
-                        let micros = calendar::parse_timestamp(&s)
-                            .ok_or_else(|| self.err(format!("bad timestamp literal {s:?}")))?;
-                        Ok(SqlExpr::Literal(Value::Timestamp(micros)))
-                    }
-                    _ => {
-                        // Reserved words are only valid here as function
-                        // names (`LEFT(x, 2)`); identifiers spelled like
-                        // keywords arrive quoted.
-                        if crate::dialect::is_reserved(&w)
-                            && self.peek_at(1) != Some(&SqlTokenKind::LParen)
-                        {
-                            return Err(self.err(format!("unexpected keyword {w}")));
-                        }
-                        self.column_or_call()
-                    }
+            Some(SqlTokenKind::Word(w)) => match self.keyword_prefix(&w)? {
+                Some(expr) => Ok(expr),
+                // Reserved words are only valid here as function names
+                // (`LEFT(x, 2)`); identifiers spelled like keywords
+                // arrive quoted.
+                None if crate::dialect::is_reserved(&w)
+                    && self.peek_at(1) != Some(&SqlTokenKind::LParen) =>
+                {
+                    Err(self.err(format!("unexpected keyword {w}")))
                 }
-            }
+                None => self.column_or_call(),
+            },
             other => Err(self.err(format!(
                 "unexpected {} in expression",
                 other.map_or("end of input".to_string(), |t| t.to_string())
             ))),
         }
+    }
+
+    /// A prefix expression led by a keyword (literal keywords, NOT, CASE,
+    /// CAST, typed literals), or `None` when the word starts a column or
+    /// call. Kept out of [`Parser::prefix`] so the frames on the recursion
+    /// path through parentheses and calls stay small.
+    fn keyword_prefix(&mut self, w: &str) -> Result<Option<SqlExpr>, SqlParseError> {
+        let upper = w.to_ascii_uppercase();
+        let expr = match upper.as_str() {
+            "TRUE" => {
+                self.advance();
+                Ok(SqlExpr::Literal(Value::Bool(true)))
+            }
+            "FALSE" => {
+                self.advance();
+                Ok(SqlExpr::Literal(Value::Bool(false)))
+            }
+            "NULL" => {
+                self.advance();
+                Ok(SqlExpr::Literal(Value::Null))
+            }
+            "NOT" => {
+                self.advance();
+                let expr = self.expr(3)?;
+                Ok(SqlExpr::Unary {
+                    op: SqlUnaryOp::Not,
+                    expr: Box::new(expr),
+                })
+            }
+            "CASE" => self.case_expr(),
+            "CAST" => {
+                self.advance();
+                self.expect(&SqlTokenKind::LParen)?;
+                let expr = self.expr(0)?;
+                self.expect_word("AS")?;
+                let ty_word = self.ident()?;
+                let dtype = DataType::parse_sql(&ty_word)
+                    .ok_or_else(|| self.err(format!("unknown type {ty_word}")))?;
+                self.expect(&SqlTokenKind::RParen)?;
+                Ok(SqlExpr::Cast {
+                    expr: Box::new(expr),
+                    dtype,
+                })
+            }
+            "DATE" if matches!(self.peek_at(1), Some(SqlTokenKind::Str(_))) => {
+                self.advance();
+                let Some(SqlTokenKind::Str(s)) = self.advance() else {
+                    unreachable!()
+                };
+                let days = calendar::parse_date(&s)
+                    .ok_or_else(|| self.err(format!("bad date literal {s:?}")))?;
+                Ok(SqlExpr::Literal(Value::Date(days)))
+            }
+            "TIMESTAMP" if matches!(self.peek_at(1), Some(SqlTokenKind::Str(_))) => {
+                self.advance();
+                let Some(SqlTokenKind::Str(s)) = self.advance() else {
+                    unreachable!()
+                };
+                let micros = calendar::parse_timestamp(&s)
+                    .ok_or_else(|| self.err(format!("bad timestamp literal {s:?}")))?;
+                Ok(SqlExpr::Literal(Value::Timestamp(micros)))
+            }
+            _ => return Ok(None),
+        };
+        expr.map(Some)
     }
 
     fn number_literal(&self, text: &str, negate: bool) -> Result<SqlExpr, SqlParseError> {
@@ -1096,6 +1147,59 @@ mod tests {
         } else {
             panic!()
         }
+    }
+
+    /// Parse on a fresh thread with the default (2 MiB) stack, the size
+    /// server session threads get.
+    fn parse_on_default_stack(sql: String) -> Result<Statement, SqlParseError> {
+        std::thread::spawn(move || parse_statement(&sql))
+            .join()
+            .expect("parser thread overflowed its stack")
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        let n = 100_000;
+        let hostile = [
+            format!("SELECT {}1{}", "(".repeat(n), ")".repeat(n)),
+            format!(
+                "SELECT * FROM {}t{}",
+                "(SELECT * FROM ".repeat(n),
+                ") x".repeat(n)
+            ),
+            format!(
+                "SELECT 1 UNION ALL {}SELECT 1{}",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+            format!("SELECT {}TRUE", "NOT ".repeat(n)),
+            format!("SELECT {}1", "-(".repeat(n)),
+            format!("SELECT {}1", "1 + ".repeat(n)),
+            format!("SELECT {}1", "ABS(".repeat(n)),
+            "SELECT 1 UNION ALL ".repeat(n) + "SELECT 1",
+        ];
+        for sql in hostile {
+            let head: String = sql.chars().take(24).collect();
+            let err = parse_on_default_stack(sql).unwrap_err();
+            assert!(err.message.contains("nesting deeper than"), "{head}: {err}");
+        }
+        // The deepest accepted inputs parse (and drop) on the same stack.
+        // Query, set expression, and select-list expression take three
+        // levels; each parenthesis or call one more.
+        let parens = |k: usize| format!("SELECT {}1{}", "(".repeat(k), ")".repeat(k));
+        assert!(parse_on_default_stack(parens(MAX_DEPTH - 3)).is_ok());
+        assert!(parse_on_default_stack(parens(MAX_DEPTH - 2)).is_err());
+        let k = MAX_DEPTH - 3;
+        let calls = format!("SELECT {}1{}", "ABS(".repeat(k), ")".repeat(k));
+        assert!(parse_on_default_stack(calls).is_ok());
+        // Derived tables cost two levels each (query + set expression).
+        let k = MAX_DEPTH / 2 - 1;
+        let subqueries = format!(
+            "SELECT * FROM {}t{}",
+            "(SELECT * FROM ".repeat(k),
+            ") x".repeat(k)
+        );
+        assert!(parse_on_default_stack(subqueries).is_ok());
     }
 
     #[test]

@@ -397,8 +397,7 @@ impl Column {
     }
 
     /// Contiguous sub-range `[offset, offset+len)` — a straight range
-    /// copy (no per-element index gather; the morsel executor slices hot
-    /// paths with this).
+    /// copy, no per-element index gather (LIMIT/OFFSET slices with this).
     pub fn slice(&self, offset: usize, len: usize) -> Column {
         let validity = self
             .validity
